@@ -10,9 +10,9 @@ CPython's GIL makes genuine thread scaling impossible for pure-Python code, so
 this bench regenerates the figure with the *simulated multicore model*: every
 run records per-task costs and each phase's scheduling policy (dynamic /
 cost-based greedy / sequential / unbalanced hash), and the simulator computes
-the makespan a t-thread machine would achieve.  See DESIGN.md, substitution
-table, for the rationale; an efficiency factor models the memory-bandwidth
-saturation that keeps the paper's measured 48-thread speedups below ideal.
+the makespan a t-thread machine would achieve.  An efficiency factor models
+the memory-bandwidth saturation that keeps the paper's measured 48-thread
+speedups below ideal.
 
 Since the process-backend refactor the figure has a second, *measured* mode:
 pass ``--backend {serial,thread,process}`` to sweep real worker counts on a

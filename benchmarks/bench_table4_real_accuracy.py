@@ -2,7 +2,7 @@
 
 The paper reports that Approx-DPC reaches 0.96--0.999 on Airline, Household,
 PAMAP2 and Sensor and beats LSH-DDP on every dataset.  The bench runs the same
-protocol on the distribution-matched stand-ins (see DESIGN.md).
+protocol on the distribution-matched stand-ins of :mod:`repro.data.real_like`.
 
 Run the full table with ``python benchmarks/bench_table4_real_accuracy.py``.
 """

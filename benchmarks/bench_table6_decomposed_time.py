@@ -9,7 +9,7 @@ improve both further, and that S-Approx-DPC is cheapest.
 Because a pure-Python run is dominated by interpreter constant factors at the
 reduced cardinalities, the bench reports *both* wall-clock seconds and the
 hardware-independent distance-computation counts; the counts reproduce the
-paper's ordering exactly (see EXPERIMENTS.md).
+paper's ordering exactly.
 
 Since the unified nearest-denser join layer, *both* decomposed phases are
 engine-split: every engine row reports its own density ("rho comp.") and

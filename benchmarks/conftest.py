@@ -3,7 +3,7 @@
 Each fixture loads one of the paper's workloads at a reduced sampling rate so
 that ``pytest benchmarks/ --benchmark-only`` completes in a few minutes of
 pure-Python time.  The standalone ``python -m`` entry point of each bench
-module regenerates the corresponding full table or figure; see EXPERIMENTS.md.
+module regenerates the corresponding full table or figure.
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ simulated speedup curves, which reproduce the shapes of Figure 9:
 * Ex-DPC plateaus because its dependency phase cannot be parallelised,
 * LSH-DDP is limited by its lack of load balancing.
 
-See DESIGN.md for why thread scaling is simulated rather than measured with
-real threads (CPython's GIL).
+Thread scaling is simulated rather than measured with real threads because
+CPython's GIL serialises them; ``docs/parallel.md`` shows how to measure real
+worker scaling on the process backend.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ Quickstart::
     result = model.fit(points)
     print(result.summary())
 
-See README.md for the full tour, DESIGN.md for the architecture and
-EXPERIMENTS.md for paper-versus-measured results.
+See README.md for the full tour and ``docs/`` for the design of each
+subsystem (engines, backends, kernels, sharding, streaming, serving).
 """
 
 from repro.baselines import CFSFDPA, DBSCAN, KMeans, LSHDDP, OPTICS, RTreeScanDPC, ScanDPC

@@ -107,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(ENGINE_CHOICES),
         default=None,
         help="query engine of the density/dependency hot paths for "
-        "ex-dpc/approx-dpc/s-approx-dpc ('auto' picks dual/batch by "
-        "dimension; default: REPRO_DEFAULT_ENGINE or 'batch'; baselines "
-        "ignore the flag; see docs/performance.md)",
+        "ex-dpc/approx-dpc/s-approx-dpc ('auto' fits on dual/batch by "
+        "dimension and predicts on batch; default: REPRO_DEFAULT_ENGINE or "
+        "'auto'; baselines ignore the flag; see docs/performance.md)",
     )
     cluster.add_argument(
         "--kernel",

@@ -28,8 +28,10 @@ Every phase is embarrassingly parallel; tasks are partitioned over threads
 with the cost-based greedy LPT policy of §4.5, which is what the recorded
 parallel profile reproduces.
 
-With the default ``engine="batch"``, the joint range searches and the exact
-dependency fallback are issued as chunked vectorised batch queries
+With ``engine="batch"`` (or ``"auto"`` above
+:data:`repro.core.framework.AUTO_DUAL_MAX_DIM` dimensions), the joint range
+searches and the exact dependency fallback are issued as chunked vectorised
+batch queries
 (:meth:`repro.index.kdtree.KDTree.range_search_batch`,
 :meth:`repro.core.dependency_join.PartitionedDependencySearcher.query_batch`)
 that produce results identical to the scalar per-cell code.

@@ -1,10 +1,13 @@
 """Ex-DPC: the exact density-peaks clustering algorithm of §3.
 
 Local densities are computed with one kd-tree range count per point
-(``O(n(n^{1-1/d} + rho_avg))`` under Assumption 1); with the default
-``engine="batch"`` the counts are issued as chunked vectorised batch queries
-(:meth:`repro.index.kdtree.KDTree.range_count_batch`) that produce identical
-results.
+(``O(n(n^{1-1/d} + rho_avg))`` under Assumption 1); ``engine="batch"``
+issues the counts as chunked vectorised batch queries
+(:meth:`repro.index.kdtree.KDTree.range_count_batch`) and ``engine="dual"``
+as one dual-tree self-join; both produce identical results.  The default
+``engine="auto"`` fits on the dual engine up to
+:data:`repro.core.framework.AUTO_DUAL_MAX_DIM` dimensions and on the batch
+engine above, and predicts on the batch engine.
 
 Dependent points are computed exactly; the strategy follows the engine:
 

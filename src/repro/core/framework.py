@@ -89,20 +89,21 @@ ENGINE_CHOICES = ENGINES + ("auto",)
 AUTO_DUAL_MAX_DIM = 5
 
 #: Environment variable naming the engine used when an estimator is built
-#: with ``engine=None``; CI exercises the dual engine by exporting it.
+#: with ``engine=None``; CI pins the batch engine by exporting it.
 DEFAULT_ENGINE_ENV = "REPRO_DEFAULT_ENGINE"
 
 
 def resolve_engine(engine: str | None) -> str:
     """Normalise an ``engine`` parameter.
 
-    ``None`` reads :data:`DEFAULT_ENGINE_ENV` (default ``"batch"``); any
-    explicit value must be one of :data:`ENGINE_CHOICES`.  ``"auto"`` is
-    kept symbolic here and resolved against the data dimensionality at fit
-    time (:func:`effective_engine`).
+    ``None`` reads :data:`DEFAULT_ENGINE_ENV` (default ``"auto"``, the
+    measured-fastest fit engine; see the "Default engine" table in
+    ``docs/performance.md``); any explicit value must be one of
+    :data:`ENGINE_CHOICES`.  ``"auto"`` is kept symbolic here and resolved
+    against the data dimensionality at fit time (:func:`effective_engine`).
     """
     if engine is None:
-        engine = os.environ.get(DEFAULT_ENGINE_ENV) or "batch"
+        engine = os.environ.get(DEFAULT_ENGINE_ENV) or "auto"
     if engine not in ENGINE_CHOICES:
         raise ValueError(
             f"engine must be one of {ENGINE_CHOICES}, got {engine!r}"
@@ -172,12 +173,14 @@ class DensityPeaksBase(abc.ABC):
         low-dimensional data (see ``docs/performance.md``); ``"scalar"``
         runs the original one-query-per-point code, which is slower but
         exercises the per-query work-counter instrumentation; ``"auto"``
-        resolves per fit from the data dimensionality (dual up to
-        ``AUTO_DUAL_MAX_DIM`` dimensions, batch above).  ``None`` (the
-        default) reads the ``REPRO_DEFAULT_ENGINE`` environment variable
-        and falls back to ``"batch"``.  All engines produce bit-for-bit
-        identical densities, dependencies and labels (property-tested);
-        baselines that have no batch/dual kernels simply ignore the flag.
+        resolves the fit per data dimensionality (dual up to
+        ``AUTO_DUAL_MAX_DIM`` dimensions, batch above) and runs
+        :meth:`predict` on the batch engine (see :attr:`predict_engine_`).
+        ``None`` (the default) reads the ``REPRO_DEFAULT_ENGINE``
+        environment variable and falls back to ``"auto"``.  All engines
+        produce bit-for-bit identical densities, dependencies and labels
+        (property-tested); baselines that have no batch/dual kernels simply
+        ignore the flag.
     dual_frontier:
         Number of independent work units the dual engine expands its
         traversals into (the canonical chunking shared by every execution
@@ -453,6 +456,17 @@ class DensityPeaksBase(abc.ABC):
         return effective_engine(self.engine, dim)
 
     @property
+    def predict_engine_(self) -> str:
+        """The query engine of :meth:`predict`.
+
+        ``"auto"`` predicts on the batch engine: the dual join's throwaway
+        query tree allocates about ten times batch's temporaries per call,
+        which costs a serving process more memory than it saves in time
+        (``docs/performance.md``).  Concrete engines predict on themselves.
+        """
+        return "batch" if self.engine == "auto" else self.engine_
+
+    @property
     def dual_frontier_(self) -> int:
         """The resolved dual-frontier target of the current/last fit.
 
@@ -708,7 +722,7 @@ class DensityPeaksBase(abc.ABC):
         tree = self._predict_tree()
         d_cut = self.d_cut
         n_q = queries.shape[0]
-        if tree is not None and self.engine_ == "dual" and n_q:
+        if tree is not None and self.predict_engine_ == "dual" and n_q:
             return self._dual_density_vs_tree(tree, queries).astype(np.float64)
         if tree is not None:
             task = self._predict_process_task(
@@ -762,7 +776,7 @@ class DensityPeaksBase(abc.ABC):
                 rho_train,
                 queries,
                 rho_q,
-                engine=self.engine_,
+                engine=self.predict_engine_,
                 executor=executor,
                 process_task=task,
             )

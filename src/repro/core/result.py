@@ -63,8 +63,7 @@ class DPCResult:
         Hardware-independent operation counts per phase
         (``density_distance_calcs``, ``dependency_distance_calcs``,
         ``total_distance_calcs``).  These reproduce the paper's complexity
-        comparison (Table 1) independently of interpreter constant factors;
-        see EXPERIMENTS.md.
+        comparison (Table 1) independently of interpreter constant factors.
     memory_bytes_:
         Approximate peak footprint of the algorithm's data structures (index,
         grids, auxiliary arrays), mirroring the paper's Table 7.

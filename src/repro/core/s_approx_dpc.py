@@ -28,9 +28,11 @@ representative point per cell:
 Larger ``epsilon`` means fewer cells, fewer range searches, and a coarser
 result (Table 5); ``epsilon -> 0`` degenerates towards Approx-DPC's grid.
 
-With the default ``engine="batch"``, the per-cell range searches and the
-partitioned exact fallback are issued as chunked vectorised batch queries
-that produce results identical to the scalar per-cell code.
+With ``engine="batch"`` (or ``"auto"`` above
+:data:`repro.core.framework.AUTO_DUAL_MAX_DIM` dimensions), the per-cell
+range searches and the partitioned exact fallback are issued as chunked
+vectorised batch queries that produce results identical to the scalar
+per-cell code.
 """
 
 from __future__ import annotations
@@ -290,7 +292,7 @@ class SApproxDPC(DensityPeaksBase):
         if unknown.size:
             tree = self._predict_tree()
             subset = queries[unknown]
-            if self.engine_ == "dual":
+            if self.predict_engine_ == "dual":
                 rho_q[unknown] = self._dual_density_vs_tree(tree, subset).astype(
                     np.float64
                 )

@@ -13,9 +13,6 @@ The real datasets cannot be redistributed here, so this package provides
 * :mod:`repro.data.real_like` -- distribution-matched synthetic stand-ins for
   the four real datasets (same dimensionality and domain, skewed multi-modal
   densities, scaled-down cardinality).
-
-See the substitution table in DESIGN.md for why these stand-ins preserve the
-behaviour the evaluation measures.
 """
 
 from repro.data.gaussian import generate_s_set

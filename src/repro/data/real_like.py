@@ -22,8 +22,6 @@ power law (skewed densities), plus a uniform background component, in the
 original dimensionality and domain, at a configurable scaled-down cardinality.
 The per-dataset specs also carry the paper's default ``d_cut`` rescaled to the
 stand-in so experiments keep comparable ``rho_avg / n`` ratios.
-
-See DESIGN.md (substitution table) for the full rationale.
 """
 
 from __future__ import annotations

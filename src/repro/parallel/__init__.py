@@ -17,8 +17,8 @@ analytic *simulated multicore model* that computes the makespan a
 each policy.  The simulation regenerates the paper's thread-scaling figure
 (Figure 9) shape analytically; the process backend additionally produces
 *measured* wall-clock speedup curves (``benchmarks/bench_fig9_threads.py
---backend process``).  See DESIGN.md for the substitution rationale and
-``docs/parallel.md`` for the backend architecture.
+--backend process``).  See ``docs/parallel.md`` for the backend
+architecture.
 
 For the vectorised ``engine="batch"`` hot paths, the executor additionally
 supports *chunked* execution (:func:`repro.parallel.executor.split_indices`

@@ -87,7 +87,10 @@ def partition_imbalance(costs, assignments) -> float:
     """Return the load imbalance of a partition.
 
     Defined as ``max_load / mean_load``; a perfectly balanced partition has
-    imbalance 1.0.  Returns 1.0 when the total cost is zero.
+    imbalance 1.0.  Returns 1.0 when the total cost is zero.  Computed as
+    ``max_load / total * workers`` so that neither a subnormal total (whose
+    mean underflows to zero) nor a huge one (whose ``max * workers``
+    overflows) leaves the ``[1, workers]`` range.
     """
     costs = np.asarray(costs, dtype=np.float64).reshape(-1)
     loads = np.asarray(
@@ -96,5 +99,4 @@ def partition_imbalance(costs, assignments) -> float:
     total = loads.sum()
     if total <= 0.0:
         return 1.0
-    mean = total / len(loads)
-    return float(loads.max() / mean)
+    return float(loads.max() / total * len(loads))

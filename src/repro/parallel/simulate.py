@@ -2,12 +2,12 @@
 
 The paper's Figure 9 measures wall-clock time as the number of OpenMP threads
 grows from 1 to 48.  Reproducing that experiment literally in pure Python is
-impossible because the GIL serialises CPU-bound Python threads (see the
-reproduction notes in DESIGN.md).  What the figure actually demonstrates,
-however, is a property of the *schedules*: phases partitioned with the
-cost-based greedy algorithm scale nearly linearly, the sequential dependency
-phase of Ex-DPC does not, and LSH-DDP's unbalanced partitioning scales only on
-some datasets.
+impossible because the GIL serialises CPU-bound Python threads (the
+process backend of ``docs/parallel.md`` measures real worker scaling
+instead).  What the figure actually demonstrates, however, is a property of
+the *schedules*: phases partitioned with the cost-based greedy algorithm
+scale nearly linearly, the sequential dependency phase of Ex-DPC does not,
+and LSH-DDP's unbalanced partitioning scales only on some datasets.
 
 This module therefore models a multicore machine analytically.  During a
 (serial) run, every algorithm records the phases it executed and, for parallel

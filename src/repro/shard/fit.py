@@ -797,7 +797,7 @@ class ShardedDPC(ExDPC):
         if n_q == 0:
             return np.zeros(0, dtype=np.float64)
         counts = np.zeros(n_q, dtype=np.float64)
-        if self.engine_ == "dual":
+        if self.predict_engine_ == "dual":
             query_tree = KDTree(
                 queries,
                 leaf_size=self.leaf_size,
@@ -838,7 +838,7 @@ class ShardedDPC(ExDPC):
             best_idx[hit] = cand_idx[better]
             best_sq[hit] = cand_sq[better]
 
-        if self.engine_ == "dual":
+        if self.predict_engine_ == "dual":
             # One float64 query tree joined against every shard; the merge
             # key is the canonical float64 distance, exactly the quantity
             # the single-tree dual attach ranks by.

@@ -10,7 +10,7 @@ static bulk-loaded :class:`~repro.index.kdtree.KDTree` built by the last full
 :class:`~repro.index.kdtree.IncrementalKDTree` holding the *hot buffer* of
 points inserted since.  Range queries consult both (evicted base points are
 masked out).  Once the number of mutations since the last rebuild exceeds
-``rebuild_threshold * n``, the window is cold-fitted again through the batch
+``rebuild_threshold * n``, the window is cold-fitted again on the stream's
 engine, which resets the buffer -- classic amortization: each rebuild costs
 one fit but pays for ``Theta(n)`` cheap updates.
 
@@ -101,12 +101,14 @@ class StreamingDPC:
     repair_chunk:
         Dirty points processed per vectorised repair block.
     engine:
-        Query engine of the wrapped Ex-DPC (``"scalar"``, ``"batch"`` or
-        ``"dual"``; ``None`` reads ``REPRO_DEFAULT_ENGINE``).  With
-        ``"dual"`` the amortized rebuilds run the density phase as a
-        dual-tree self-join and :meth:`predict` joins new points against the
-        window tree with one simultaneous traversal -- results are
-        bit-for-bit identical on every engine.
+        Query engine of the wrapped Ex-DPC (``"scalar"``, ``"batch"``,
+        ``"dual"`` or ``"auto"``; ``None`` reads ``REPRO_DEFAULT_ENGINE``
+        and falls back to ``"auto"``).  With ``"dual"`` the amortized
+        rebuilds run the density phase as a dual-tree self-join and
+        :meth:`predict` joins new points against the window tree with one
+        simultaneous traversal; ``"auto"`` rebuilds like ``"dual"`` up to
+        ``AUTO_DUAL_MAX_DIM`` dimensions and predicts on the batch engine.
+        Results are bit-for-bit identical on every engine.
     dual_frontier:
         Work-unit decomposition of the dual joins (``"auto"``, an int, or
         ``None`` to read ``REPRO_DUAL_FRONTIER``).  ``"auto"`` stays
@@ -587,7 +589,7 @@ class StreamingDPC:
     # ----------------------------------------------------------------- rebuild
 
     def _rebuild(self) -> None:
-        """Amortized full rebuild: cold-fit the window through the batch engine."""
+        """Amortized full rebuild: cold-fit the window on the stream's engine."""
         n = self._n
         base_points = self._points[:n].copy()
         model = self._make_estimator()

@@ -7,7 +7,7 @@ by interpreter constant factors at moderate cardinalities, so every estimator
 in this library *also* counts the number of point-to-point distance
 evaluations it performs per phase.  Those counts are machine- and
 language-independent and reproduce the paper's complexity comparison exactly;
-the benchmark harness reports both (see EXPERIMENTS.md).
+the benchmark harness reports both.
 
 :class:`WorkCounter` is a tiny mutable accumulator shared between an estimator
 and its index structures.

@@ -14,9 +14,10 @@ import pytest
 
 from repro.core import ApproxDPC, ExDPC, SApproxDPC
 from repro.core.framework import DEFAULT_ENGINE_ENV, ENGINES, resolve_engine
-from repro.data import generate_blobs
+from repro.data import generate_blobs, generate_real_like, generate_syn
 from repro.index.kdtree import KDTree, check_storage_dtype
 from repro.io import load_model, save_model
+from repro.shard import ShardedDPC
 from repro.stream import StreamingDPC
 
 
@@ -45,7 +46,7 @@ class TestEngineValidation:
         monkeypatch.setenv(DEFAULT_ENGINE_ENV, "dual")
         assert ExDPC(d_cut=1.0, n_clusters=2).engine == "dual"
         monkeypatch.delenv(DEFAULT_ENGINE_ENV)
-        assert ExDPC(d_cut=1.0, n_clusters=2).engine == "batch"
+        assert ExDPC(d_cut=1.0, n_clusters=2).engine == "auto"
         # Explicit argument wins over the environment.
         monkeypatch.setenv(DEFAULT_ENGINE_ENV, "dual")
         assert ExDPC(d_cut=1.0, n_clusters=2, engine="scalar").engine == "scalar"
@@ -69,6 +70,109 @@ class TestEngineValidation:
             check_storage_dtype("float16")
         with pytest.raises(ValueError, match="dtype must be one of"):
             ExDPC(d_cut=1.0, n_clusters=2, dtype="int32")
+
+
+class TestAutoEngine:
+    """``engine="auto"`` (the default): dual fit up to AUTO_DUAL_MAX_DIM
+    dimensions, batch above, and ``predict`` on the batch engine."""
+
+    def test_fit_engine_resolves_by_dimension(self):
+        low = ExDPC(d_cut=5_000.0, n_clusters=3, seed=0, engine="auto")
+        low.fit(_blobs())
+        assert low.engine_ == "dual"
+        high = ExDPC(d_cut=60.0, n_clusters=2, seed=0, engine="auto")
+        high.fit(_random_points(150, 6))
+        assert high.engine_ == "batch"
+
+    @pytest.mark.parametrize(
+        "engine,expected",
+        [("auto", "batch"), ("batch", "batch"), ("dual", "dual"), ("scalar", "scalar")],
+    )
+    def test_predict_engine(self, engine, expected):
+        model = ExDPC(d_cut=5_000.0, n_clusters=3, seed=0, engine=engine)
+        model.fit(_blobs())
+        assert model.predict_engine_ == expected
+
+    @pytest.mark.parametrize(
+        "cls,extra",
+        [(ExDPC, {}), (SApproxDPC, {"epsilon": 0.8}), (ShardedDPC, {"n_shards": 2})],
+    )
+    def test_auto_predict_runs_no_dual_join(self, monkeypatch, cls, extra):
+        model = cls(d_cut=5_000.0, n_clusters=3, seed=0, engine="auto", **extra)
+        model.fit(_blobs())
+        assert model.engine_ == "dual"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("auto predict must stay on the batch engine")
+
+        monkeypatch.setattr(KDTree, "range_count_dual_vs", refuse)
+        monkeypatch.setattr(KDTree, "nn_dual_vs", refuse)
+        queries = _random_points(40, 2, seed=9) * 500.0 + 50_000.0
+        assert model.predict(queries).shape == (40,)
+
+    @pytest.mark.parametrize(
+        "cls,extra",
+        [
+            (ExDPC, {}),
+            (ApproxDPC, {}),
+            (SApproxDPC, {"epsilon": 0.8}),
+            (ShardedDPC, {"n_shards": 2}),
+        ],
+    )
+    def test_predict_labels_equal_across_engines(self, cls, extra):
+        points = _blobs()
+        queries = _random_points(40, 2, seed=9) * 500.0 + 50_000.0
+        labels = {}
+        for engine in ("auto", "batch", "dual"):
+            model = cls(d_cut=5_000.0, n_clusters=3, seed=0, engine=engine, **extra)
+            model.fit(points)
+            labels[engine] = model.predict(queries)
+        np.testing.assert_array_equal(labels["auto"], labels["batch"])
+        np.testing.assert_array_equal(labels["auto"], labels["dual"])
+
+    @pytest.mark.parametrize("dim,fit_engine", [(2, "dual"), (6, "batch")])
+    def test_snapshot_keeps_both_resolutions(self, tmp_path, dim, fit_engine):
+        points = _random_points(150, dim)
+        model = ExDPC(d_cut=60.0, n_clusters=2, seed=0, engine="auto")
+        model.fit(points)
+        restored = load_model(save_model(model, tmp_path / "model.npz"))
+        assert restored.engine == "auto"
+        assert restored.engine_ == fit_engine
+        assert restored.predict_engine_ == "batch"
+        queries = _random_points(30, dim, seed=4)
+        np.testing.assert_array_equal(
+            restored.predict(queries), model.predict(queries)
+        )
+
+
+class TestDefaultEngineCounters:
+    """Counter gates of the library default: no wall-clock, so they hold on
+    any host."""
+
+    def test_default_fit_matches_batch_with_less_work(self, monkeypatch):
+        monkeypatch.delenv(DEFAULT_ENGINE_ENV, raising=False)
+        points, _ = generate_syn(n_points=3_000, seed=0)
+        params = dict(d_cut=2_000.0, rho_min=5, n_clusters=13, seed=0)
+        default = ExDPC(**params).fit(points)
+        batch = ExDPC(**params, engine="batch").fit(points)
+        for name in ("rho_", "delta_", "dependent_", "labels_"):
+            np.testing.assert_array_equal(
+                getattr(default, name), getattr(batch, name), err_msg=name
+            )
+        assert (
+            default.work_["total_distance_calcs"]
+            < batch.work_["total_distance_calcs"]
+        )
+
+    def test_default_fit_work_is_backend_invariant(self, monkeypatch):
+        monkeypatch.delenv(DEFAULT_ENGINE_ENV, raising=False)
+        points, _ = generate_real_like("household", n_points=2_000)
+        assert points.shape[1] == 4
+        params = dict(d_cut=3_000.0, rho_min=5, n_clusters=15, seed=0)
+        serial = ExDPC(**params, n_jobs=1, backend="serial").fit(points)
+        process = ExDPC(**params, n_jobs=2, backend="process").fit(points)
+        assert serial.work_ == process.work_
+        np.testing.assert_array_equal(serial.labels_, process.labels_)
 
 
 class TestCacheAwareLayout:

@@ -1,6 +1,7 @@
 """Unit tests for repro.parallel (partition, scheduler, executor, simulate)."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,15 @@ class TestImbalance:
 
     def test_zero_total_cost(self):
         assert partition_imbalance(np.zeros(4), hash_partition(4, 2)) == 1.0
+
+    def test_subnormal_total_cost(self):
+        # The mean of a subnormal total underflows to zero; the imbalance
+        # must stay finite and warning-free.
+        costs = np.array([5e-324, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            imbalance = partition_imbalance(costs, hash_partition(2, 2))
+        assert imbalance == 2.0
 
 
 class TestSchedulers:
