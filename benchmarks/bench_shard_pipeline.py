@@ -1,23 +1,22 @@
-"""Pipelined sharded fit vs the sequential shard driver, under a budget.
+"""Sharded fit with and without a memory budget, against Ex-DPC.
 
 The stage-pipelined scheduler (:mod:`repro.shard.pipeline`) overlaps the
 build / density / halo / dependency stages of *different* shards whenever
 the memory-accounting model says the live set fits
-``memory_budget_bytes``.  This bench fits the same clustered dataset three
-ways --
+``memory_budget_bytes``.  This bench fits the same clustered dataset with
+single-tree :class:`~repro.core.ex_dpc.ExDPC` and two sharded schedules --
 
-* **sequential**: the shard-at-a-time driver (``pipeline=False``),
-* **pipelined**: the stage DAG with no budget (all shards resident), and
+* **unbudgeted**: the stage DAG with no budget (all shards resident), and
 * **budgeted**: the stage DAG at the *minimum feasible* budget, which
   degenerates to one shard resident at a time with spill-to-disk between
   the local and cross passes --
 
-and verifies all three produce bit-identical fitted arrays (and identical
-work counters) before reporting wall times and the tracked memory peaks.
+and verifies both sharded fits are bit-identical to Ex-DPC and report
+identical work counters before printing wall times and tracked memory peaks.
 
-``--check`` gates on **bit-identity and budget compliance only** -- never on
-wall-clock ratios, because the CI runner is a single-CPU box where stage
-overlap cannot pay.  The run appends ``phase="shard"`` rows (wall seconds,
+``--check`` gates on **bit-identity to Ex-DPC, equal work counters between
+the two schedules and budget compliance** -- never on wall-clock ratios,
+because the CI runner is a single-CPU box where stage overlap cannot pay.  The run appends ``phase="shard"`` rows (wall seconds,
 peak tracked bytes, budget, stage counts) to the repo-root perf-trajectory
 file via ``merge_trajectory``.
 
@@ -47,6 +46,7 @@ DEFAULT_N = 4000
 DEFAULT_DIM = 2
 DEFAULT_SHARDS = 4
 EXTENT = 100.0
+MODES = ("unbudgeted", "budgeted")
 
 
 def make_points(n: int, dim: int, seed: int) -> np.ndarray:
@@ -86,7 +86,7 @@ def run_bench(
     n_shards: int = DEFAULT_SHARDS,
     seed: int = 0,
 ) -> dict:
-    """Fit sequential / pipelined / budgeted and compare bit for bit."""
+    """Fit Ex-DPC, unbudgeted and minimum-budget sharded; compare bit for bit."""
     points = make_points(n, dim, seed)
     plan = plan_shards(points, n_shards)
     budget = minimum_budget_bytes(plan.shard_sizes, dim, "float64", 32)
@@ -95,8 +95,7 @@ def run_bench(
     ref_result = reference.fit(points)
 
     runs = {
-        "sequential": fit_once(points, n_shards, pipeline=False),
-        "pipelined": fit_once(points, n_shards, pipeline=True),
+        "unbudgeted": fit_once(points, n_shards),
         "budgeted": fit_once(points, n_shards, memory_budget_bytes=budget),
     }
 
@@ -110,10 +109,7 @@ def run_bench(
             ("dependent", "dependent"),
         )
     )
-    work_identical = (
-        runs["pipelined"]["work"] == runs["sequential"]["work"]
-        and runs["budgeted"]["work"] == runs["sequential"]["work"]
-    )
+    work_identical = runs["budgeted"]["work"] == runs["unbudgeted"]["work"]
     budget_stats = runs["budgeted"]["stats"]
     budget_ok = 0 < budget_stats["peak_rss_bytes"] <= budget
 
@@ -129,23 +125,21 @@ def run_bench(
     }
     for mode, run in runs.items():
         stats = run["stats"]
+        report = stats["pipeline"]
         payload[mode] = {
             "wall_s": run["wall_s"],
             "peak_rss_bytes": int(stats["peak_rss_bytes"]),
-            "pipelined": bool(stats["pipelined"]),
+            "n_stages": report["n_stages"],
+            "workers": report["workers"],
+            "spilled_shards": len(report["spilled"]),
         }
-        report = stats.get("pipeline")
-        if report:
-            payload[mode]["n_stages"] = report["n_stages"]
-            payload[mode]["workers"] = report["workers"]
-            payload[mode]["spilled_shards"] = len(report["spilled"])
     return payload
 
 
 def shard_trajectory(payload: dict) -> dict:
     """``phase -> key -> record`` rows for ``merge_trajectory``."""
     rows = {}
-    for mode in ("sequential", "pipelined", "budgeted"):
+    for mode in MODES:
         record = payload[mode]
         rows[mode] = {
             "n": payload["n"],
@@ -154,9 +148,7 @@ def shard_trajectory(payload: dict) -> dict:
             "peak_rss_bytes": record["peak_rss_bytes"],
         }
     rows["budgeted"]["budget_bytes"] = payload["budget_bytes"]
-    rows["budgeted"]["spilled_shards"] = payload["budgeted"].get(
-        "spilled_shards", 0
-    )
+    rows["budgeted"]["spilled_shards"] = payload["budgeted"]["spilled_shards"]
     return {"shard": rows}
 
 
@@ -171,8 +163,9 @@ def main() -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit nonzero unless all drivers are bit-identical and the "
-        "budgeted run stayed under its budget (wall-clock is never gated)",
+        help="exit nonzero unless both schedules are bit-identical to Ex-DPC, "
+        "report equal work counters, and the budgeted run stayed under its "
+        "budget (wall-clock is never gated)",
     )
     parser.add_argument("--json", default=None, help="write the payload as JSON here")
     parser.add_argument(
@@ -189,16 +182,16 @@ def main() -> int:
         f"sharded fit: n={args.n} x {args.n_shards} shards",
         [
             {
-                "driver": mode,
+                "schedule": mode,
                 "wall (s)": payload[mode]["wall_s"],
                 "peak tracked (bytes)": payload[mode]["peak_rss_bytes"],
-                "stages": payload[mode].get("n_stages", "-"),
-                "spilled": payload[mode].get("spilled_shards", 0),
+                "stages": payload[mode]["n_stages"],
+                "spilled": payload[mode]["spilled_shards"],
             }
-            for mode in ("sequential", "pipelined", "budgeted")
+            for mode in MODES
         ],
     )
-    print(f"bit-identical          : {payload['bit_identical']}")
+    print(f"bit-identical to ExDPC : {payload['bit_identical']}")
     print(f"work counters identical: {payload['work_identical']}")
     print(
         f"budget respected       : {payload['budget_respected']} "

@@ -1,9 +1,10 @@
-"""Memory-budgeted stage pipeline for the sharded fit.
+"""Memory-budgeted stage pipeline: the driver of the sharded fit.
 
-The sequential :class:`repro.shard.fit.ShardedDPC` driver runs its per-shard
-building blocks one after another.  :class:`ShardPipeline` runs the *same*
-blocks as a dependency-ordered stage DAG, overlapping stages of different
-shards whenever the live accounted memory fits ``memory_budget_bytes``:
+:class:`ShardPipeline` runs the per-shard building blocks of
+:class:`repro.shard.fit.ShardedDPC` as a dependency-ordered stage DAG on
+``max(2, n_jobs)`` scheduler threads.  Stages of different shards overlap
+whenever their dependencies are met and, under ``memory_budget_bytes``, the
+live accounted memory admits them:
 
 .. code-block:: text
 
@@ -35,10 +36,11 @@ counter swaps, tree registration -- happen in the scheduler thread at stage
 completion.  Densities are integer-valued, and integers below ``2**53`` add
 exactly in float64, so the commit *order* of density/halo contributions is
 bit-irrelevant; local and cross dependency stages touch row sets that are
-disjoint by shard; and each stage calls the identical building-block code the
-sequential driver calls.  The result (labels, densities, dependencies, and
-the per-phase work counters) is therefore bit-identical to the sequential
-driver for every schedule, which is property-tested in
+disjoint by shard; and each cross pass visits its partners in shard order.
+The result (labels, densities, dependencies, and the per-phase work
+counters) is therefore identical for every schedule -- unbudgeted, or the
+one-shard-at-a-time schedule of the minimum budget -- and bit-identical to
+single-tree Ex-DPC, which is property-tested in
 ``tests/property/test_shard_equivalence.py``.
 
 **Budget model.**  Admission control works on deterministic upper-bound
@@ -62,10 +64,13 @@ machine-dependent):
   time); smaller budgets raise ``ValueError`` before any work starts.
 
 The observed peak of this accounting is reported as
-``shard_stats_["peak_rss_bytes"]`` next to ``"budget_bytes"``; real shared
-memory is additionally instrumented by
-:class:`repro.parallel.shm.SharedArrayBundle`'s class-level live/peak
-counters, which the budget tests assert against.
+``shard_stats_["peak_rss_bytes"]`` next to ``"budget_bytes"``.  Without a
+budget every tree stays resident, each running stage holds at most one shard
+segment, so up to ``workers`` segments are live at once; their peak total is
+``shard_stats_["shm_peak_bytes"]``, and ``peak_rss_bytes`` reports the
+resident trees plus that peak.  Real shared memory is additionally
+instrumented by :class:`repro.parallel.shm.SharedArrayBundle`'s class-level
+live/peak counters, which the tests assert against.
 """
 
 from __future__ import annotations
@@ -172,7 +177,6 @@ class PipelineOutputs:
     dep_counter: WorkCounter  #: work of localdep/cross stages
     halo_exported: int  #: total slab points exported across shard borders
     halo_credits: int  #: total cross-border density credits
-    shm_peak_bytes: int  #: largest single shared-memory segment
     peak_tracked_bytes: int  #: peak of the budget accounting model
     report: dict = field(default_factory=dict)  #: scheduling diagnostics
 
@@ -195,8 +199,7 @@ class ShardPipeline:
     The pipeline holds no algorithmic logic of its own: every stage body is a
     bound building block of the owning :class:`~repro.shard.fit.ShardedDPC`
     (``_build_shard_tree``, ``_shard_self_counts``, ``_halo_pair``,
-    ``_local_join``, ``_cross_pass_shard``), so sequential and pipelined fits
-    cannot drift apart.
+    ``_local_join``, ``_cross_pass_shard``); it only decides when each runs.
     """
 
     def __init__(self, owner, points: np.ndarray):
@@ -204,11 +207,7 @@ class ShardPipeline:
         self.points = points
         self.plan = owner._plan
         self.budget = owner.memory_budget_bytes
-        self.workers = (
-            owner.pipeline_workers
-            if owner.pipeline_workers is not None
-            else max(2, resolve_n_jobs(owner.n_jobs))
-        )
+        self.workers = max(2, resolve_n_jobs(owner.n_jobs))
         sizes = self.plan.shard_sizes
         dim = int(points.shape[1])
         self._tree_bytes = [
@@ -536,15 +535,13 @@ class ShardPipeline:
     def _finalize(self, n_stages: int) -> PipelineOutputs:
         owner = self.owner
         if self.budget is None:
-            # Non-budget runs keep every tree resident, like the sequential
-            # driver; report the same residency-based footprint it reports.
+            # Non-budget runs keep every tree resident: the footprint is the
+            # trees plus the peak of concurrently live shard segments.
             for tree in self.trees:
                 tree.counter = owner._counter
             owner._shard_trees = self.trees
             resident = sum(owner._tree_resident_bytes(t) for t in self.trees)
-            peak = int(
-                resident + owner.shard_stats_.get("shm_peak_bytes", 0)
-            )
+            peak = int(resident + owner.shard_stats_["shm_peak_bytes"])
         else:
             # Budget runs end with every shard spilled: rehydrate the
             # post-fit trees as memory-mapped wrappers over the archives
@@ -576,9 +573,6 @@ class ShardPipeline:
             dep_counter=self.dep_counter,
             halo_exported=int(self.halo_exported),
             halo_credits=int(self.halo_credits),
-            shm_peak_bytes=int(
-                self.owner.shard_stats_.get("shm_peak_bytes", 0)
-            ),
             peak_tracked_bytes=peak,
             report=report,
         )

@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.exact_dependency import PartitionedDependencySearcher
+from repro.core.dependency_join import PartitionedDependencySearcher
 from repro.index.kdtree import KDTree
 
 MAX_EXAMPLES = 60

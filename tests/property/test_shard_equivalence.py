@@ -131,12 +131,12 @@ class TestProcessBackendOutOfCore:
 
 
 class TestPipelinedEquivalence:
-    """Pipelined fit == sequential fit == ExDPC, bit for bit.
+    """Every budget == the minimum-budget fit == ExDPC, bit for bit.
 
     The stage-pipelined scheduler (and its memory budget) must be invisible:
     at every budget in {unbounded, two-shard, one-shard} the fitted arrays
-    AND the per-phase work counters equal the sequential sharded driver's,
-    which in turn equals single-tree ExDPC on the fitted arrays.
+    equal single-tree ExDPC's AND the per-phase work counters equal the
+    minimum-budget (one shard at a time) run's.
     """
 
     BUDGETS = ("unbounded", "two-shard", "one-shard")
@@ -149,61 +149,59 @@ class TestPipelinedEquivalence:
         minimum = minimum_budget_bytes(plan.shard_sizes, points.shape[1], dtype, 32)
         return minimum if budget == "one-shard" else 2 * minimum
 
-    @pytest.mark.parametrize("budget", BUDGETS)
-    @pytest.mark.parametrize("n_shards", (2, 4))
-    @pytest.mark.parametrize("engine", ("batch", "dual"))
-    def test_pipelined_matches_sequential_and_reference(
-        self, engine, n_shards, budget
-    ):
-        points = make_points(200, 2, seed=42)
-        reference, sequential = fit_pair(points, n_shards, engine=engine)
-        budget_bytes = self.resolve_budget(points, n_shards, "float64", budget)
-        pipelined = ShardedDPC(
+    @classmethod
+    def fit_at(cls, points, n_shards, budget, dtype="float64", **kwargs):
+        model = ShardedDPC(
             8.0,
             n_shards=n_shards,
             rho_min=1,
             n_clusters=4,
             seed=0,
-            engine=engine,
-            memory_budget_bytes=budget_bytes,
-            pipeline=True,
+            dtype=dtype,
+            memory_budget_bytes=cls.resolve_budget(points, n_shards, dtype, budget),
+            **kwargs,
         )
-        pipelined.fit(points)
+        model.fit(points)
+        return model
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("n_shards", (2, 4))
+    @pytest.mark.parametrize("engine", ("batch", "dual"))
+    def test_budget_matches_minimum_budget_and_reference(
+        self, engine, n_shards, budget
+    ):
+        points = make_points(200, 2, seed=42)
+        reference = ExDPC(8.0, rho_min=1, n_clusters=4, seed=0, engine=engine)
+        reference.fit(points)
+        minimum = self.fit_at(points, n_shards, "one-shard", engine=engine)
+        budget_bytes = self.resolve_budget(points, n_shards, "float64", budget)
+        pipelined = self.fit_at(points, n_shards, budget, engine=engine)
         assert_bit_identical(reference, pipelined)
-        # Work counters: pipelined == sequential sharded, phase by phase.
-        seq_work = sequential.result_.work_
+        # Work counters: every budget == the minimum-budget run, phase by phase.
+        min_work = minimum.result_.work_
         pipe_work = pipelined.result_.work_
         assert pipe_work["density_distance_calcs"] == (
-            seq_work["density_distance_calcs"]
+            min_work["density_distance_calcs"]
         )
         assert pipe_work["dependency_distance_calcs"] == (
-            seq_work["dependency_distance_calcs"]
+            min_work["dependency_distance_calcs"]
         )
-        assert pipe_work["total_distance_calcs"] == seq_work["total_distance_calcs"]
+        assert pipe_work["total_distance_calcs"] == min_work["total_distance_calcs"]
         if budget_bytes is not None:
             stats = pipelined.shard_stats_
             assert 0 < stats["peak_rss_bytes"] <= budget_bytes
 
     @pytest.mark.parametrize("budget", ("unbounded", "one-shard"))
-    def test_pipelined_float32_matches(self, budget):
+    def test_float32_budget_matches(self, budget):
         points = make_points(200, 2, seed=42)
-        reference, sequential = fit_pair(points, 4, dtype="float32")
-        budget_bytes = self.resolve_budget(points, 4, "float32", budget)
-        pipelined = ShardedDPC(
-            8.0,
-            n_shards=4,
-            rho_min=1,
-            n_clusters=4,
-            seed=0,
-            dtype="float32",
-            memory_budget_bytes=budget_bytes,
-            pipeline=True,
-        )
-        pipelined.fit(points)
+        reference = ExDPC(8.0, rho_min=1, n_clusters=4, seed=0, dtype="float32")
+        reference.fit(points)
+        minimum = self.fit_at(points, 4, "one-shard", dtype="float32")
+        pipelined = self.fit_at(points, 4, budget, dtype="float32")
         assert_bit_identical(reference, pipelined)
-        assert pipelined.result_.work_ == sequential.result_.work_
+        assert pipelined.result_.work_ == minimum.result_.work_
 
-    def test_pipelined_predict_matches(self):
+    def test_budgeted_predict_matches(self):
         points = make_points(200, 2, seed=42)
         reference, _ = fit_pair(points, 4)
         budget_bytes = self.resolve_budget(points, 4, "float64", "one-shard")

@@ -173,6 +173,24 @@ class TestManifestRoundTrip:
         assert restored.n_clusters == fitted.n_clusters
         assert restored.algorithm_name == "Sharded-Ex-DPC"
 
+    @pytest.mark.parametrize("pipeline", [False, True])
+    def test_legacy_pipeline_param_still_loads(
+        self, fitted, points, tmp_path, pipeline
+    ):
+        # Manifests written before the driver option was removed carry a
+        # "pipeline" param; loading ignores it.
+        path = save_sharded(fitted, tmp_path / "manifest")
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["params"]["pipeline"] = pipeline
+        manifest_path.write_text(json.dumps(manifest))
+        restored = load_sharded(path)
+        rng = np.random.default_rng(4)
+        queries = points + rng.normal(0.0, 0.3, size=points.shape)
+        np.testing.assert_array_equal(
+            restored.predict(queries), fitted.predict(queries)
+        )
+
     def test_float32_model_round_trips(self, points, tmp_path):
         model = ShardedDPC(
             8.0, n_shards=2, rho_min=1, n_clusters=3, seed=0, dtype="float32"

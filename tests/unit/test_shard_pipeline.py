@@ -73,16 +73,6 @@ class TestBudgetModel:
         with pytest.raises(ValueError, match="minimum"):
             model.fit(points)
 
-    def test_budget_without_pipeline_rejected(self):
-        with pytest.raises(ValueError, match="pipelin"):
-            ShardedDPC(
-                8.0,
-                n_shards=2,
-                n_clusters=3,
-                memory_budget_bytes=1 << 20,
-                pipeline=False,
-            )
-
     def test_non_positive_budget_rejected(self):
         with pytest.raises(ValueError):
             ShardedDPC(8.0, n_shards=2, n_clusters=3, memory_budget_bytes=0)
@@ -92,13 +82,11 @@ class TestPipelinedEquivalence:
     @pytest.mark.parametrize("n_shards", (2, 4))
     def test_unbounded_pipeline_matches_reference(self, points, reference, n_shards):
         _, ref_result = reference
-        model = ShardedDPC(
-            8.0, n_shards=n_shards, rho_min=1, n_clusters=3, seed=0, pipeline=True
-        )
+        model = ShardedDPC(8.0, n_shards=n_shards, rho_min=1, n_clusters=3, seed=0)
         result = model.fit(points)
         assert_matches_reference(result, ref_result)
-        assert model.shard_stats_["pipelined"] is True
         assert model.shard_stats_["budget_bytes"] is None
+        assert model.shard_stats_["pipeline"]["spilled"] == []
 
     @pytest.mark.parametrize("factor", (1.0, 2.0), ids=["one-shard", "two-shard"])
     def test_budgeted_pipeline_matches_reference(self, points, reference, factor):
@@ -115,15 +103,23 @@ class TestPipelinedEquivalence:
         )
         result = model.fit(points)
         assert_matches_reference(result, ref_result)
-        # Work accounting is part of the pipelined == sequential contract
-        # (ExDPC itself traverses a different index, so its counts differ).
-        sequential = ShardedDPC(8.0, n_shards=4, rho_min=1, n_clusters=3, seed=0)
-        seq_work = sequential.fit(points).work_
+        # Work accounting is schedule-independent: every budget reports the
+        # work of the minimum-budget (one shard at a time) run.  ExDPC itself
+        # traverses a different index, so its counts differ.
+        minimum = ShardedDPC(
+            8.0,
+            n_shards=4,
+            rho_min=1,
+            n_clusters=3,
+            seed=0,
+            memory_budget_bytes=budget_for(points, probe),
+        )
+        min_work = minimum.fit(points).work_
         assert result.work_["density_distance_calcs"] == (
-            seq_work["density_distance_calcs"]
+            min_work["density_distance_calcs"]
         )
         assert result.work_["dependency_distance_calcs"] == (
-            seq_work["dependency_distance_calcs"]
+            min_work["dependency_distance_calcs"]
         )
         stats = model.shard_stats_
         assert stats["budget_bytes"] == budget
@@ -131,14 +127,19 @@ class TestPipelinedEquivalence:
         # Budget mode spills every shard before the cross pass.
         assert stats["pipeline"]["spilled"] == [0, 1, 2, 3]
 
-    def test_pipelined_work_matches_sequential_sharded(self, points):
-        sequential = ShardedDPC(8.0, n_shards=4, rho_min=1, n_clusters=3, seed=0)
-        seq_result = sequential.fit(points)
-        pipelined = ShardedDPC(
-            8.0, n_shards=4, rho_min=1, n_clusters=3, seed=0, pipeline=True
+    def test_unbudgeted_work_matches_minimum_budget(self, points):
+        probe = ShardedDPC(8.0, n_shards=4, rho_min=1, n_clusters=3, seed=0)
+        minimum = ShardedDPC(
+            8.0,
+            n_shards=4,
+            rho_min=1,
+            n_clusters=3,
+            seed=0,
+            memory_budget_bytes=budget_for(points, probe),
         )
-        pipe_result = pipelined.fit(points)
-        assert pipe_result.work_ == seq_result.work_
+        min_result = minimum.fit(points)
+        unbudgeted = ShardedDPC(8.0, n_shards=4, rho_min=1, n_clusters=3, seed=0)
+        assert unbudgeted.fit(points).work_ == min_result.work_
 
     def test_report_describes_the_dag(self, points):
         probe = ShardedDPC(8.0, n_shards=2, rho_min=1, n_clusters=3, seed=0)
@@ -150,7 +151,7 @@ class TestPipelinedEquivalence:
             n_clusters=3,
             seed=0,
             memory_budget_bytes=budget,
-            pipeline_workers=3,
+            n_jobs=3,
         )
         model.fit(points)
         report = model.shard_stats_["pipeline"]
@@ -210,6 +211,23 @@ class TestBudgetCompliance:
         assert SharedArrayBundle.live_bytes() == 0
         assert model.shard_stats_["peak_rss_bytes"] <= budget
 
+    def test_unbudgeted_shm_peak_counts_concurrent_segments(self, points):
+        # Without a budget, concurrent stages hold several shard segments at
+        # once; the reported peak is their live total, not the largest one.
+        SharedArrayBundle.reset_peak_bytes()
+        model = ShardedDPC(
+            8.0,
+            n_shards=4,
+            rho_min=1,
+            n_clusters=3,
+            seed=0,
+            backend="process",
+            n_jobs=2,
+        )
+        model.fit(points)
+        assert SharedArrayBundle.live_bytes() == 0
+        assert model.shard_stats_["shm_peak_bytes"] == SharedArrayBundle.peak_bytes()
+
 
 class TestStreamingInput:
     def test_npy_path_fit_matches_in_memory(self, points, reference, tmp_path):
@@ -221,7 +239,6 @@ class TestStreamingInput:
         assert_matches_reference(result, ref_result)
         stats = model.shard_stats_
         assert stats["streaming_input"] is True
-        assert stats["pipelined"] is True  # streaming auto-enables the pipeline
 
     def test_chunk_iterator_fit_matches_in_memory(self, points, reference):
         _, ref_result = reference
