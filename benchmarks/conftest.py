@@ -39,9 +39,3 @@ def airline_workload():
 def household_workload():
     """The Household-like stand-in (4-D)."""
     return load_workload("household", sampling_rate=BENCH_SAMPLING)
-
-
-@pytest.fixture(scope="session")
-def sensor_workload():
-    """The Sensor-like stand-in (8-D)."""
-    return load_workload("sensor", sampling_rate=BENCH_SAMPLING)

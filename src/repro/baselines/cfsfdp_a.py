@@ -42,7 +42,7 @@ class CFSFDPA(ScanDPC):
         ``max(8, round(sqrt(n)))``, the usual pivot budget for
         triangle-inequality filtering; the cached point-to-pivot distances are
         what make CFSFDP-A the most memory-hungry algorithm in Table 7.
-    rho_min, delta_min, n_clusters, n_jobs, seed, record_costs, chunk_size:
+    rho_min, delta_min, n_clusters, n_jobs, seed, chunk_size:
         See :class:`repro.baselines.scan.ScanDPC`.
     """
 
@@ -59,7 +59,6 @@ class CFSFDPA(ScanDPC):
         n_jobs: int = 1,
         backend: str | None = None,
         seed: int | None = 0,
-        record_costs: bool = True,
         chunk_size: int = 1024,
     ):
         super().__init__(
@@ -70,7 +69,6 @@ class CFSFDPA(ScanDPC):
             n_jobs=n_jobs,
             backend=backend,
             seed=seed,
-            record_costs=record_costs,
             chunk_size=chunk_size,
         )
         self.n_pivots = n_pivots
@@ -131,7 +129,6 @@ class CFSFDPA(ScanDPC):
         radii = self._pivot_radii
 
         rho = np.zeros(n, dtype=np.float64)
-        costs = np.zeros(n, dtype=np.float64)
 
         def density_of(index: int) -> None:
             query = points[index]
@@ -152,9 +149,7 @@ class CFSFDPA(ScanDPC):
                 count += int(np.count_nonzero(d_sq < d_cut_sq))
                 examined += int(group.size)
             rho[index] = count
-            costs[index] = examined + pivots.shape[0]
             self._counter.add("distance_calcs", float(examined + pivots.shape[0]))
 
         self._executor.map(density_of, list(range(n)))
-        self._record_phase("local_density", "dynamic", np.maximum(costs, 1.0))
         return rho

@@ -13,11 +13,12 @@ share buckets, then
   neighbourhood contains no denser point (the original paper's
   "re-examination" pass for results that do not look accurate).
 
-The paper's critique -- which the load-balancing ablation and the
-thread-scaling benchmark reproduce -- is that LSH-DDP distributes buckets to
-workers without a cost model, so skewed bucket sizes translate directly into
-idle threads.  The recorded parallel profile therefore uses the ``hash``
-(round-robin) scheduling policy with per-bucket costs ``|bucket|^2``.
+The paper's critique is that LSH-DDP distributes buckets to workers without
+a cost model, so skewed bucket sizes translate directly into idle threads.
+This implementation maps its per-point density and dependency tasks over the
+:class:`repro.parallel.executor.ParallelExecutor` (worker threads for
+``n_jobs > 1``); its measured thread scaling is part of
+``benchmarks/bench_fig9_threads.py``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class LSHDDP(DensityPeaksBase):
         ``bucket_width_factor * d_cut`` (the original paper ties the bucket
         width to the cutoff distance so that points within ``d_cut`` usually
         collide).
-    rho_min, delta_min, n_clusters, n_jobs, seed, record_costs:
+    rho_min, delta_min, n_clusters, n_jobs, seed:
         See :class:`repro.core.framework.DensityPeaksBase`.
     """
 
@@ -67,7 +68,6 @@ class LSHDDP(DensityPeaksBase):
         n_jobs: int = 1,
         backend: str | None = None,
         seed: int | None = 0,
-        record_costs: bool = True,
     ):
         super().__init__(
             d_cut,
@@ -77,7 +77,6 @@ class LSHDDP(DensityPeaksBase):
             n_jobs=n_jobs,
             backend=backend,
             seed=seed,
-            record_costs=record_costs,
         )
         self.n_tables = check_positive_int(n_tables, "n_tables")
         self.n_functions = check_positive_int(n_functions, "n_functions")
@@ -118,20 +117,14 @@ class LSHDDP(DensityPeaksBase):
         n = points.shape[0]
         d_cut_sq = self.d_cut * self.d_cut
         rho = np.zeros(n, dtype=np.float64)
-        costs = np.zeros(n, dtype=np.float64)
 
         def density_of(index: int) -> None:
             neighborhood = self._neighborhood(index)
             self._counter.add("distance_calcs", float(neighborhood.size))
             d_sq = point_to_points_sq(points[index], points[neighborhood])
             rho[index] = float(np.count_nonzero(d_sq < d_cut_sq))
-            costs[index] = neighborhood.size
 
         self._executor.map(density_of, list(range(n)))
-
-        # LSH-DDP partitions work by bucket without a cost model; record the
-        # per-point bucket sizes under the round-robin ("hash") policy.
-        self._record_phase("local_density", "hash", np.maximum(costs, 1.0))
         return rho
 
     # ------------------------------------------------------------ dependencies
@@ -143,7 +136,6 @@ class LSHDDP(DensityPeaksBase):
         dependent = np.full(n, -1, dtype=np.intp)
         delta = np.full(n, np.inf, dtype=np.float64)
         exact_mask = np.zeros(n, dtype=bool)
-        costs = np.zeros(n, dtype=np.float64)
 
         densest = int(np.argmax(rho))
         fallback: list[int] = []
@@ -153,7 +145,6 @@ class LSHDDP(DensityPeaksBase):
                 return
             neighborhood = self._neighborhood(index)
             denser = neighborhood[rho[neighborhood] > rho[index]]
-            costs[index] = neighborhood.size
             self._counter.add("distance_calcs", float(denser.size))
             if denser.size == 0:
                 fallback.append(index)
@@ -164,13 +155,10 @@ class LSHDDP(DensityPeaksBase):
             delta[index] = float(np.sqrt(d_sq[pos]))
 
         self._executor.map(local_dependency, list(range(n)))
-        self._record_phase("dependency:buckets", "hash", np.maximum(costs, 1.0))
 
         # Re-examination pass: exact scan for points whose buckets held no
         # denser point.
         if fallback:
-            fallback_costs = np.full(len(fallback), float(n))
-
             def exact_dependency(index: int) -> None:
                 denser = np.flatnonzero(rho > rho[index])
                 if denser.size == 0:
@@ -183,6 +171,5 @@ class LSHDDP(DensityPeaksBase):
                 exact_mask[index] = True
 
             self._executor.map(exact_dependency, list(fallback))
-            self._record_phase("dependency:rescan", "hash", fallback_costs)
 
         return dependent, delta, exact_mask

@@ -23,7 +23,7 @@ class RTreeScanDPC(ScanDPC):
     ----------
     d_cut:
         Cutoff distance of Definition 1.
-    rho_min, delta_min, n_clusters, n_jobs, seed, record_costs, chunk_size:
+    rho_min, delta_min, n_clusters, n_jobs, seed, chunk_size:
         See :class:`repro.baselines.scan.ScanDPC`.
     leaf_capacity, fanout:
         STR bulk-loading parameters of the R-tree.
@@ -41,7 +41,6 @@ class RTreeScanDPC(ScanDPC):
         n_jobs: int = 1,
         backend: str | None = None,
         seed: int | None = 0,
-        record_costs: bool = True,
         chunk_size: int = 1024,
         leaf_capacity: int = 64,
         fanout: int = 16,
@@ -54,7 +53,6 @@ class RTreeScanDPC(ScanDPC):
             n_jobs=n_jobs,
             backend=backend,
             seed=seed,
-            record_costs=record_costs,
             chunk_size=chunk_size,
         )
         self.leaf_capacity = leaf_capacity
@@ -80,6 +78,4 @@ class RTreeScanDPC(ScanDPC):
             return rtree.range_count(points[index], self.d_cut, strict=True)
 
         counts = self._executor.map(density_of, list(range(n)))
-        rho = np.asarray(counts, dtype=np.float64)
-        self._record_phase("local_density", "dynamic", rho + 1.0)
-        return rho
+        return np.asarray(counts, dtype=np.float64)

@@ -29,7 +29,7 @@ class ScanDPC(DensityPeaksBase):
     ----------
     d_cut:
         Cutoff distance of Definition 1.
-    rho_min, delta_min, n_clusters, n_jobs, seed, record_costs:
+    rho_min, delta_min, n_clusters, n_jobs, seed:
         See :class:`repro.core.framework.DensityPeaksBase`.
     chunk_size:
         Number of rows processed per block in the density phase.
@@ -47,7 +47,6 @@ class ScanDPC(DensityPeaksBase):
         n_jobs: int = 1,
         backend: str | None = None,
         seed: int | None = 0,
-        record_costs: bool = True,
         chunk_size: int = 1024,
     ):
         super().__init__(
@@ -58,7 +57,6 @@ class ScanDPC(DensityPeaksBase):
             n_jobs=n_jobs,
             backend=backend,
             seed=seed,
-            record_costs=record_costs,
         )
         self.chunk_size = int(chunk_size)
         if self.chunk_size <= 0:
@@ -89,9 +87,6 @@ class ScanDPC(DensityPeaksBase):
             self._counter.add("distance_calcs", float(stop - start) * float(n))
 
         self._executor.map(process_chunk, chunks)
-
-        # Every point costs a full scan of P.
-        self._record_phase("local_density", "dynamic", np.full(n, float(n)))
         return rho
 
     # ------------------------------------------------------------ dependencies
@@ -127,10 +122,6 @@ class ScanDPC(DensityPeaksBase):
                 delta[original] = float(np.sqrt(prefix[nearest]))
 
         self._executor.map(process_block, positions)
-
-        # Point at sorted position i scans i predecessors.
-        costs = np.arange(1, n, dtype=np.float64)
-        self._record_phase("dependency", "dynamic", costs)
 
         exact_mask = np.ones(n, dtype=bool)
         return dependent, delta, exact_mask

@@ -6,8 +6,7 @@ approximation algorithm under those same thresholds with Ex-DPC's clustering
 as ground truth (Rand index).  :func:`shared_thresholds` and
 :func:`run_accuracy_suite` implement that protocol; the performance benches
 use :func:`run_performance_suite`, which records wall-clock timings, distance
-computation counts, memory, and the simulated thread-scaling profile of every
-algorithm on a workload.
+computation counts and memory of every algorithm on a workload.
 """
 
 from __future__ import annotations
@@ -140,14 +139,13 @@ def run_performance_suite(
     """Fit every requested algorithm once on the workload and return the results.
 
     Used by the efficiency experiments (Table 6, Table 7, Figures 7--9); the
-    caller extracts timings, work counts, memory or the parallel profile from
-    each :class:`~repro.core.result.DPCResult`.  ``engine`` selects the
-    scalar or batch query engine for the algorithms in
+    caller extracts timings, work counts or memory from each
+    :class:`~repro.core.result.DPCResult`.  ``engine`` selects the query
+    engine for the algorithms in
     :data:`ENGINE_AWARE_ALGORITHMS` (``None`` keeps each algorithm's
     default); ``backend`` and ``n_jobs`` select the execution backend and
     worker count of every algorithm's parallel phases (``None`` / ``1`` keep
-    the defaults), which is how the measured -- as opposed to simulated --
-    scaling sweeps run.
+    the defaults), which is how the thread-scaling sweeps run.
     """
     results: dict[str, DPCResult] = {}
     for name in algorithms:

@@ -24,9 +24,12 @@ Because the approximation only ever assigns dependent distances of exactly
 ``d_cut`` -- the algorithm selects the same cluster centers as Ex-DPC for any
 ``delta_min > d_cut`` (Theorem 4).
 
-Every phase is embarrassingly parallel; tasks are partitioned over threads
-with the cost-based greedy LPT policy of §4.5, which is what the recorded
-parallel profile reproduces.
+Every phase is embarrassingly parallel.  The paper balances its tasks with
+the cost-based greedy LPT partitioning of §4.5; here the batch and dual
+engines run the per-cell density scans and the exact dependency fallback in
+contiguous index chunks on the
+:class:`repro.parallel.executor.ParallelExecutor` (the scalar engine maps one
+task per cell or query).
 
 With ``engine="batch"`` (or ``"auto"`` above
 :data:`repro.core.framework.AUTO_DUAL_MAX_DIM` dimensions), the joint range
@@ -60,14 +63,13 @@ class CellDensitySummary:
 
     Produced by :func:`cell_density_summary` for one grid cell: the exact
     member densities read off the joint range-search result, the cell's
-    densest point, the ``N(c)`` neighbour keys, and the bookkeeping the cost
-    model and work counters need.
+    densest point, the ``N(c)`` neighbour keys, and the work-counter
+    bookkeeping.
     """
 
     counts: np.ndarray
     best_point: int
     neighbor_keys: list[tuple[int, ...]]
-    n_candidates: int
     n_distance_calcs: float
 
 
@@ -111,7 +113,6 @@ def cell_density_summary(
         counts=counts,
         best_point=best_point,
         neighbor_keys=neighbor_keys,
-        n_candidates=int(candidates.size),
         n_distance_calcs=n_distance_calcs,
     )
 
@@ -123,7 +124,7 @@ class ApproxDPC(DensityPeaksBase):
     ----------
     d_cut:
         Cutoff distance of Definition 1.
-    rho_min, delta_min, n_clusters, n_jobs, seed, record_costs, engine:
+    rho_min, delta_min, n_clusters, n_jobs, seed, engine:
         See :class:`repro.core.framework.DensityPeaksBase`.
     leaf_size:
         Leaf bucket size of the kd-tree.
@@ -146,7 +147,6 @@ class ApproxDPC(DensityPeaksBase):
         n_jobs: int = 1,
         backend: str | None = None,
         seed: int | None = 0,
-        record_costs: bool = True,
         leaf_size: int = 32,
         n_partitions: int | None = None,
         engine: str | None = None,
@@ -162,7 +162,6 @@ class ApproxDPC(DensityPeaksBase):
             n_jobs=n_jobs,
             backend=backend,
             seed=seed,
-            record_costs=record_costs,
             engine=engine,
             dual_frontier=dual_frontier,
             kernel=kernel,
@@ -220,8 +219,6 @@ class ApproxDPC(DensityPeaksBase):
         rho = np.zeros(n, dtype=np.float64)
 
         cells = grid.cells()
-        range_costs = np.zeros(len(cells), dtype=np.float64)
-        scan_costs = np.zeros(len(cells), dtype=np.float64)
 
         def summarize(position: int, candidates: np.ndarray) -> CellDensitySummary:
             cell = cells[position]
@@ -313,22 +310,14 @@ class ApproxDPC(DensityPeaksBase):
             summaries = self._executor.map(process_cell, list(range(len(cells))))
 
         # Scatter the (backend-agnostic) per-cell summaries: exact member
-        # densities, densest point, density extrema, N(c), and the §4.5 cost
-        # model inputs.
-        for position, (cell, summary) in enumerate(zip(cells, summaries)):
+        # densities, densest point, density extrema and N(c).
+        for cell, summary in zip(cells, summaries):
             members = cell.point_indices
             rho[members] = summary.counts
             cell.best_point = summary.best_point
             cell.min_density = float(summary.counts.min())
             cell.max_density = float(summary.counts.max())
             cell.neighbor_cells = summary.neighbor_keys
-            range_costs[position] = members.size
-            scan_costs[position] = members.size * max(summary.n_candidates, 1)
-
-        # §4.5: the range-search pass is balanced by |P(c)|, the scan pass by
-        # |P(c)| * |R(...)|; both use the greedy LPT partitioner.
-        self._record_phase("local_density:range", "greedy", range_costs)
-        self._record_phase("local_density:scan", "greedy", scan_costs)
         return rho
 
     # ------------------------------------------------------------ dependencies
@@ -376,11 +365,6 @@ class ApproxDPC(DensityPeaksBase):
                 if not assigned:
                     undecided.append(index)
 
-        approx_count = n - len(undecided)
-        self._record_phase(
-            "dependency:approx", "greedy", np.ones(max(approx_count, 1))
-        )
-
         # Exact fallback for the undecided cell maxima (§4.3, "Exact
         # computation"), routed through the unified nearest-denser join.
         if undecided:
@@ -402,6 +386,5 @@ class ApproxDPC(DensityPeaksBase):
             delta[undecided_arr] = outcome.delta
             exact_mask[undecided_arr] = True
             self._fallback_memory = outcome.memory_bytes
-            self._record_phase("dependency:exact", "greedy", outcome.cost_estimates)
 
         return dependent, delta, exact_mask

@@ -220,36 +220,6 @@ class PartitionedDependencySearcher:
             )
         )
 
-    def query_costs(self, rho_values) -> np.ndarray:
-        """Vectorised ``cost_dep`` estimates (§4.5) for an array of densities.
-
-        ``n/s + (m-1)(n/s)^{1-1/d}`` when some partition straddles the
-        density (case ii), ``m (n/s)^{1-1/d}`` otherwise, where ``m`` is the
-        number of partitions that may contain the dependent point.
-        """
-        rho_values = np.asarray(rho_values, dtype=np.float64).reshape(-1)
-        if not self._partitions:
-            return np.zeros(rho_values.shape[0])
-        dim = self._points.shape[1]
-        avg_size = float(
-            np.mean([part.member_indices.size for part in self._partitions])
-        )
-        nn_cost = avg_size ** (1.0 - 1.0 / dim)
-        mins = np.asarray([part.min_rho for part in self._partitions])
-        maxs = np.asarray([part.max_rho for part in self._partitions])
-        active = maxs[None, :] > rho_values[:, None]
-        m = active.sum(axis=1)
-        straddles = (active & ~(mins[None, :] > rho_values[:, None])).any(axis=1)
-        return np.where(
-            m == 0,
-            nn_cost,
-            np.where(straddles, avg_size + (m - 1) * nn_cost, m * nn_cost),
-        )
-
-    def query_cost(self, rho_value: float) -> float:
-        """The paper's ``cost_dep`` estimate (§4.5) for one query density."""
-        return float(self.query_costs([rho_value])[0])
-
     def query(self, index: int) -> tuple[int, float]:
         """Return ``(dependent_index, distance)`` for the point ``index``.
 
@@ -339,14 +309,12 @@ class JoinOutcome:
 
     ``dependent`` / ``delta`` are aligned with the query set (``-1`` /
     ``inf`` for queries with no denser candidate); ``memory_bytes`` is the
-    footprint of any auxiliary index built for the join and
-    ``cost_estimates`` feeds the caller's parallel-phase profile.
+    footprint of any auxiliary index built for the join.
     """
 
     dependent: np.ndarray
     delta: np.ndarray
     memory_bytes: int
-    cost_estimates: np.ndarray
 
 
 def nearest_denser_join(
@@ -407,7 +375,6 @@ def nearest_denser_join(
             dependent=np.empty(0, dtype=np.intp),
             delta=np.empty(0, dtype=np.float64),
             memory_bytes=0,
-            cost_estimates=np.empty(0, dtype=np.float64),
         )
 
     if engine == "dual":
@@ -434,7 +401,6 @@ def nearest_denser_join(
             dependent=dependent,
             delta=delta,
             memory_bytes=memory_bytes,
-            cost_estimates=np.ones(n_q, dtype=np.float64),
         )
 
     searcher = PartitionedDependencySearcher(
@@ -487,7 +453,6 @@ def nearest_denser_join(
         dependent=dependent,
         delta=delta,
         memory_bytes=searcher.memory_bytes(),
-        cost_estimates=searcher.query_costs(rho[q_arr]),
     )
 
 

@@ -33,11 +33,13 @@ labels (the shared lexicographic tie-break and arithmetic contract of
 :mod:`repro.core.dependency_join`; property-tested).
 
 Parallelization (§3, "Implementation for parallel processing"): the density
-phase is embarrassingly parallel and is scheduled dynamically (OpenMP
-``schedule(dynamic)`` in the paper) because per-point costs are unknown in
-advance.  The scalar dependency phase is recorded as one sequential block --
-reproducing Ex-DPC's thread-scaling plateau (Figure 9) -- while the
-batch/dual joins are recorded as dynamically scheduled parallel work.
+phase is embarrassingly parallel.  The paper schedules it dynamically (OpenMP
+``schedule(dynamic)``); here the batch engine splits the points, and the dual
+engine its node-pair frontier, into contiguous index chunks that the
+:class:`repro.parallel.executor.ParallelExecutor` runs on ``n_jobs``
+workers.  The batch/dual dependency joins run the same way over query
+chunks, while the scalar dependency phase stays sequential by construction
+-- the source of Ex-DPC's thread-scaling plateau in Figure 9.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class ExDPC(DensityPeaksBase):
     ----------
     d_cut:
         Cutoff distance of Definition 1.
-    rho_min, delta_min, n_clusters, n_jobs, seed, record_costs, engine:
+    rho_min, delta_min, n_clusters, n_jobs, seed, engine:
         See :class:`repro.core.framework.DensityPeaksBase`.
     leaf_size:
         Leaf bucket size of the kd-tree.
@@ -94,7 +96,6 @@ class ExDPC(DensityPeaksBase):
         n_jobs: int = 1,
         backend: str | None = None,
         seed: int | None = 0,
-        record_costs: bool = True,
         leaf_size: int = 32,
         engine: str | None = None,
         dtype: str = "float64",
@@ -109,7 +110,6 @@ class ExDPC(DensityPeaksBase):
             n_jobs=n_jobs,
             backend=backend,
             seed=seed,
-            record_costs=record_costs,
             engine=engine,
             dual_frontier=dual_frontier,
             kernel=kernel,
@@ -192,12 +192,6 @@ class ExDPC(DensityPeaksBase):
             rho = np.asarray(
                 self._executor.map(density_of, list(range(n))), dtype=np.float64
             )
-
-        # The range-search cost of point i is O(n^{1-1/d} + rho_i); the paper
-        # parallelises this loop with dynamic scheduling because rho_i is not
-        # known beforehand.
-        traversal = float(n ** (1.0 - 1.0 / points.shape[1]))
-        self._record_phase("local_density", "dynamic", rho + traversal)
         return rho
 
     # ------------------------------------------------------------ dependencies
@@ -226,7 +220,6 @@ class ExDPC(DensityPeaksBase):
                 frontier_target=self.dual_frontier_,
                 process_task_builder=self._process_task,
             )
-            self._record_phase("dependency", "dynamic", outcome.cost_estimates)
             return outcome.dependent, outcome.delta, exact_mask
 
         dependent = np.full(n, -1, dtype=np.intp)
@@ -244,9 +237,4 @@ class ExDPC(DensityPeaksBase):
             dependent[index] = neighbor
             delta[index] = distance
             incremental.insert(index)
-
-        # Sequential by construction (§3): record the whole phase as one
-        # non-parallelisable block so the simulated thread scaling shows the
-        # plateau observed in Figure 9.
-        self._record_phase("dependency", "sequential", [float(n)])
         return dependent, delta, exact_mask

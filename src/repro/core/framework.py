@@ -13,8 +13,8 @@ follows the same four-step lifecycle:
 :meth:`DensityPeaksBase._build_index`,
 :meth:`DensityPeaksBase._compute_local_density` and
 :meth:`DensityPeaksBase._compute_dependencies`, and inherit parameter
-handling, tie-breaking, timing, memory accounting, the parallel-phase profile
-and the final assignment step.
+handling, tie-breaking, timing, work counters, memory accounting and the
+final assignment step.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from repro.parallel.backends import (
 )
 from repro.parallel.executor import ParallelExecutor, resolve_n_jobs
 from repro.parallel.shm import SharedArrayBundle
-from repro.parallel.simulate import SimulatedMulticore
 from repro.utils.counters import WorkCounter
 from repro.utils.rng import draw_tiebreak_jitter, ensure_rng
 from repro.utils.validation import (
@@ -156,10 +155,6 @@ class DensityPeaksBase(abc.ABC):
     seed:
         Seed for the density tie-breaking perturbation (and any internal
         randomness such as LSH directions in subclasses).
-    record_costs:
-        When true (default) the estimator records per-task cost estimates for
-        each parallel phase so that thread-scaling can be simulated afterwards
-        via ``result.parallel_profile_``.
     engine:
         Query-execution engine for the density and dependency hot paths.
         ``"batch"`` issues chunked, vectorised batch queries through
@@ -225,7 +220,6 @@ class DensityPeaksBase(abc.ABC):
         n_jobs: int = 1,
         backend: str | None = None,
         seed: int | None = 0,
-        record_costs: bool = True,
         engine: str | None = None,
         dual_frontier=None,
         kernel: str | None = None,
@@ -255,7 +249,6 @@ class DensityPeaksBase(abc.ABC):
             raise ValueError(f"n_clusters must be positive, got {n_clusters}")
         self.n_jobs = resolve_n_jobs(n_jobs)
         self.seed = seed
-        self.record_costs = bool(record_costs)
 
         # Populated by fit().
         self.result_: DPCResult | None = None
@@ -324,8 +317,6 @@ class DensityPeaksBase(abc.ABC):
         else:
             self._dual_frontier_ = self.dual_frontier
         rng = ensure_rng(self.seed)
-        profile = SimulatedMulticore()
-        self._profile = profile
         self._executor = ParallelExecutor(self.n_jobs, backend=self.backend)
         self._counter = WorkCounter()
         self._shared_bundle = None
@@ -398,7 +389,6 @@ class DensityPeaksBase(abc.ABC):
             timings["assignment"] = time.perf_counter() - start
             timings["total"] = time.perf_counter() - start_total
 
-            self._scale_profile_to_timings(profile, timings)
             memory_bytes = self._total_memory_bytes(points)
         finally:
             self._release_parallel_resources()
@@ -422,7 +412,6 @@ class DensityPeaksBase(abc.ABC):
             timings_=timings,
             work_=work,
             memory_bytes_=memory_bytes,
-            parallel_profile_=profile,
             params_=self.get_params(),
             algorithm_=self.algorithm_name,
             dependent_raw_=dependent_raw,
@@ -823,43 +812,6 @@ class DensityPeaksBase(abc.ABC):
         return f"{type(self).__name__}({params})"
 
     # ----------------------------------------------------------------- helpers
-
-    def _record_phase(
-        self,
-        name: str,
-        policy: str,
-        task_costs,
-        serial_overhead: float = 0.0,
-    ) -> None:
-        """Record a parallel phase on the current run's profile (if enabled)."""
-        if not self.record_costs:
-            return
-        self._profile.add_phase(name, policy, task_costs, serial_overhead)
-
-    def _scale_profile_to_timings(
-        self, profile: SimulatedMulticore, timings: dict[str, float]
-    ) -> None:
-        """Rescale recorded per-task cost estimates to measured phase seconds.
-
-        Subclasses record *relative* per-task costs (the same cost models the
-        paper's partitioner uses).  To make simulated makespans comparable to
-        wall-clock measurements, each phase's costs are rescaled so that their
-        total equals the measured duration of the lifecycle step the phase
-        belongs to (phases are named ``"<step>:<detail>"`` or ``"<step>"``).
-        """
-        step_phase_totals: dict[str, float] = {}
-        for phase in profile.phases:
-            step = phase.name.split(":", 1)[0]
-            step_phase_totals[step] = step_phase_totals.get(step, 0.0) + phase.total_cost
-        for phase in profile.phases:
-            step = phase.name.split(":", 1)[0]
-            measured = timings.get(step)
-            recorded_total = step_phase_totals.get(step, 0.0)
-            if measured is None or recorded_total <= 0.0:
-                continue
-            scale = measured / recorded_total
-            phase.task_costs = phase.task_costs * scale
-            phase.serial_overhead = phase.serial_overhead * scale
 
     def _total_memory_bytes(self, points: np.ndarray) -> int:
         """Points + index structures + per-point result arrays + shared memory.

@@ -7,8 +7,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.parallel.simulate import SimulatedMulticore
-
 __all__ = ["DPCResult", "canonical_rho_raw"]
 
 
@@ -57,8 +55,10 @@ class DPCResult:
         (always all-true for exact algorithms; for Approx-DPC this marks the
         "stem" of each cluster tree).
     timings_:
-        Wall-clock seconds per phase: ``index_build``, ``local_density``,
-        ``dependency``, ``assignment`` and ``total``.
+        Measured wall-clock seconds per phase: ``index_build``,
+        ``local_density``, ``dependency``, ``assignment`` and ``total``.
+        Under ``n_jobs > 1`` these are the real parallel phase times; the
+        thread-scaling benchmark reads its speedups from them.
     work_:
         Hardware-independent operation counts per phase
         (``density_distance_calcs``, ``dependency_distance_calcs``,
@@ -67,10 +67,6 @@ class DPCResult:
     memory_bytes_:
         Approximate peak footprint of the algorithm's data structures (index,
         grids, auxiliary arrays), mirroring the paper's Table 7.
-    parallel_profile_:
-        A :class:`repro.parallel.simulate.SimulatedMulticore` describing each
-        phase's scheduling policy and per-task costs; used by the
-        thread-scaling benchmarks.
     params_:
         The estimator parameters used for the run.
     algorithm_:
@@ -94,7 +90,6 @@ class DPCResult:
     timings_: dict[str, float] = field(default_factory=dict)
     work_: dict[str, float] = field(default_factory=dict)
     memory_bytes_: int = 0
-    parallel_profile_: SimulatedMulticore = field(default_factory=SimulatedMulticore)
     params_: dict[str, Any] = field(default_factory=dict)
     algorithm_: str = ""
     dependent_raw_: np.ndarray | None = None

@@ -63,7 +63,7 @@ class SApproxDPC(DensityPeaksBase):
         Approximation parameter (> 0).  The grid cell side is
         ``epsilon * d_cut / sqrt(d)``; larger values mean faster, coarser
         clustering.
-    rho_min, delta_min, n_clusters, n_jobs, seed, record_costs, engine:
+    rho_min, delta_min, n_clusters, n_jobs, seed, engine:
         See :class:`repro.core.framework.DensityPeaksBase`.  Note that
         ``rho_min`` only applies to picked points (non-picked points inherit
         their representative's density), mirroring §5.
@@ -87,7 +87,6 @@ class SApproxDPC(DensityPeaksBase):
         n_jobs: int = 1,
         backend: str | None = None,
         seed: int | None = 0,
-        record_costs: bool = True,
         leaf_size: int = 32,
         fallback_factor: float = 4.0,
         engine: str | None = None,
@@ -103,7 +102,6 @@ class SApproxDPC(DensityPeaksBase):
             n_jobs=n_jobs,
             backend=backend,
             seed=seed,
-            record_costs=record_costs,
             engine=engine,
             dual_frontier=dual_frontier,
             kernel=kernel,
@@ -162,7 +160,6 @@ class SApproxDPC(DensityPeaksBase):
         rho = np.zeros(n, dtype=np.float64)
 
         cells = grid.cells()
-        costs = np.zeros(len(cells), dtype=np.float64)
 
         def summarize(position: int, neighbors: np.ndarray) -> tuple[float, list]:
             # A strict range search already returns exactly the points within
@@ -234,13 +231,10 @@ class SApproxDPC(DensityPeaksBase):
 
             summaries = self._executor.map(process_cell, list(range(len(cells))))
 
-        for position, (cell, (density, neighbor_keys)) in enumerate(
-            zip(cells, summaries)
-        ):
+        for cell, (density, neighbor_keys) in zip(cells, summaries):
             cell.density = density
             rho[cell.picked] = density
             cell.neighbor_cells = neighbor_keys
-            costs[position] = density + 1.0
 
         # Non-picked points inherit their representative's density (the paper
         # exempts them from rho_min; sharing the picked density keeps the
@@ -248,8 +242,6 @@ class SApproxDPC(DensityPeaksBase):
         for cell in cells:
             members = cell.point_indices
             rho[members] = np.where(rho[members] > 0.0, rho[members], cell.density)
-
-        self._record_phase("local_density", "greedy", costs)
         return rho
 
     # ----------------------------------------------------------------- predict
@@ -334,10 +326,6 @@ class SApproxDPC(DensityPeaksBase):
                 point_to_points_sq(points[picked], points[others])
             )
 
-        self._record_phase(
-            "dependency:cells", "greedy", np.ones(max(len(cells), 1))
-        )
-
         # First phase for picked points: a denser picked point in a
         # neighbouring cell, if one exists.
         undecided: list[int] = []
@@ -359,10 +347,6 @@ class SApproxDPC(DensityPeaksBase):
                 )
             else:
                 undecided.append(picked)
-
-        self._record_phase(
-            "dependency:phase1", "greedy", np.ones(max(len(picked_indices), 1))
-        )
 
         # Second phase: undecided picked points (roots of temporary clusters).
         if undecided:
@@ -409,7 +393,6 @@ class SApproxDPC(DensityPeaksBase):
         delta[undecided_arr] = outcome.delta
         exact_mask[undecided_arr] = True
         self._fallback_memory = outcome.memory_bytes
-        self._record_phase("dependency:phase2", "greedy", outcome.cost_estimates)
 
     def _resolve_roots_temporary_clusters(
         self,
@@ -450,9 +433,8 @@ class SApproxDPC(DensityPeaksBase):
             radius_of[root] = float(np.sqrt(dists_sq.max())) if member_arr.size else 0.0
 
         # (3) Nearest denser root for every undecided root (the pruning bound).
-        costs = np.zeros(len(undecided), dtype=np.float64)
         root_rho = rho[undecided_arr]
-        for position, index in enumerate(undecided_arr):
+        for index in undecided_arr:
             index = int(index)
             denser = undecided_arr[root_rho > rho[index]]
             if denser.size == 0:
@@ -470,7 +452,6 @@ class SApproxDPC(DensityPeaksBase):
 
             # (4) Prune temporary clusters that cannot contain anything closer,
             # scan the survivors.
-            scanned = 0
             for root, members in members_of.items():
                 if root == index:
                     continue
@@ -483,7 +464,6 @@ class SApproxDPC(DensityPeaksBase):
                 denser_members = member_arr[rho[member_arr] > rho[index]]
                 if denser_members.size == 0:
                     continue
-                scanned += denser_members.size
                 self._counter.add("distance_calcs", float(denser_members.size) + 1.0)
                 d_sq_members = point_to_points_sq(points[index], points[denser_members])
                 pos = int(np.argmin(d_sq_members))
@@ -494,7 +474,3 @@ class SApproxDPC(DensityPeaksBase):
             dependent[index] = best_idx
             delta[index] = best_dist
             exact_mask[index] = True
-            costs[position] = denser.size + scanned
-
-        # This quadratic pass parallelises over the undecided roots.
-        self._record_phase("dependency:phase2", "greedy", np.maximum(costs, 1.0))

@@ -153,9 +153,10 @@ class ParallelExecutor:
     ) -> list[R]:
         """Apply ``func`` to every chunk of tasks (one call per chunk).
 
-        Useful when per-task overhead matters: the caller partitions tasks
-        (for instance with :func:`repro.parallel.partition.greedy_partition`)
-        and each worker processes a whole chunk in one call.
+        Useful when per-task overhead matters: the caller splits the tasks
+        into chunks (:meth:`map_index_chunks` uses the contiguous index
+        chunks of :func:`split_indices`) and each worker processes a whole
+        chunk in one call.
         """
         chunk_list = [chunk for chunk in chunks if len(chunk) > 0]
         if not self._use_threads(len(chunk_list)):

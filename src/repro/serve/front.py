@@ -15,6 +15,13 @@ replicas do not duplicate model memory either -- every registry loads
 snapshots with ``mmap=True``, so all replicas map the *same* snapshot files
 and the OS page cache backs them with one physical copy.
 
+Lifecycle: replicas are ordinary (non-daemonic) processes, so a replica
+whose model runs on the process backend can start its own worker pools.
+:meth:`ReplicaFront.close` terminates and joins them; a front that is never
+closed stops its replicas from an ``atexit`` hook, so interpreter exit does
+not hang on them.  A replica turns ``SIGTERM`` into an orderly exit that lets
+an in-flight predict finish and shut its worker pool down.
+
 Warm-up and health: after spawning, the front probes every replica with
 ``{"op": "health", "model": <first model>}`` -- a warm probe that also
 faults in the snapshot -- and :meth:`ReplicaFront.start` returns only when
@@ -31,9 +38,12 @@ is forwarded.  Aggregate throughput is measured by
 from __future__ import annotations
 
 import asyncio
+import atexit
 import json
 import multiprocessing
 import os
+import signal
+import sys
 
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import _MAX_LINE_BYTES, PredictServer
@@ -52,6 +62,10 @@ def _replica_main(
     mmap: bool,
 ) -> None:
     """Entry point of one replica process: serve on a free port, report it."""
+    # SIGTERM (close() or the front's exit hook) raises SystemExit, so
+    # asyncio.run unwinds and waits for the predict threads, whose executors
+    # shut their worker pools down instead of orphaning them.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(0))
     registry = ModelRegistry(max_models=max_models, mmap=mmap)
     for name, path in model_specs:
         registry.register(name, path)
@@ -196,6 +210,7 @@ class ReplicaFront:
         """Fork replicas, wait for warm health, bind the front; ``(host, port)``."""
         loop = asyncio.get_running_loop()
         context = multiprocessing.get_context()
+        atexit.register(self._stop_replicas)
         for _ in range(self.replicas):
             parent_conn, child_conn = context.Pipe(duplex=False)
             process = context.Process(
@@ -210,7 +225,6 @@ class ReplicaFront:
                     self.max_models,
                     self.mmap,
                 ),
-                daemon=True,
             )
             process.start()
             child_conn.close()
@@ -278,10 +292,18 @@ class ReplicaFront:
         for link in self._links:
             await link.close()
         self._links.clear()
+        atexit.unregister(self._stop_replicas)
+        self._stop_replicas()
+
+    def _stop_replicas(self) -> None:
+        """Terminate and reap every replica; kill one that outlives the grace."""
         for process in self._processes:
             process.terminate()
         for process in self._processes:
             process.join(timeout=10)
+            if process.is_alive():
+                process.kill()
+                process.join()
         self._processes.clear()
         self._ports.clear()
 

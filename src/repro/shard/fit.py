@@ -544,9 +544,6 @@ class ShardedDPC(ExDPC):
         # Density work lands in the density bracket of fit(); the dependency
         # counter is merged by _compute_dependencies inside its own bracket.
         self._counter.merge(outputs.density_counter)
-        n = points.shape[0]
-        traversal = float(n ** (1.0 - 1.0 / points.shape[1]))
-        self._record_phase("local_density", "dynamic", outputs.rho_raw + traversal)
         return outputs.rho_raw
 
     # ------------------------------------------------------------ dependencies
@@ -671,11 +668,6 @@ class ShardedDPC(ExDPC):
         # The dependency stages ran inside the pipeline; merging their
         # counter here keeps fit()'s per-phase work attribution exact.
         self._counter.merge(outputs.dep_counter)
-        self._record_phase(
-            "dependency",
-            "dynamic",
-            np.concatenate(outputs.cost_chunks) if outputs.cost_chunks else np.zeros(0),
-        )
         n = points.shape[0]
         return outputs.best_idx, np.sqrt(outputs.best_sq), np.ones(n, dtype=bool)
 

@@ -172,7 +172,6 @@ class PipelineOutputs:
     rho_raw: np.ndarray  #: jitter-free global densities (exact integers)
     best_idx: np.ndarray  #: global nearest-denser indices (``-1`` for peaks)
     best_sq: np.ndarray  #: canonical float64 squared distances (``inf`` for peaks)
-    cost_chunks: list  #: per-shard join cost estimates, shard order
     density_counter: WorkCounter  #: work of build/density/halo stages
     dep_counter: WorkCounter  #: work of localdep/cross stages
     halo_exported: int  #: total slab points exported across shard borders
@@ -234,7 +233,6 @@ class ShardPipeline:
         self.rho_raw = np.zeros(n, dtype=np.float64)
         self.best_idx = np.full(n, -1, dtype=np.intp)
         self.best_sq = np.full(n, np.inf, dtype=np.float64)
-        self.cost_chunks: list = [None] * k
         self.density_counter = _LockedCounter()
         self.dep_counter = _LockedCounter()
         self.halo_exported = 0
@@ -321,7 +319,6 @@ class ShardPipeline:
         self.owner._apply_local_join(
             self.points, self.plan.members[k], outcome, self.best_idx, self.best_sq
         )
-        self.cost_chunks[k] = np.asarray(outcome.cost_estimates, dtype=np.float64)
 
     def _run_persist(self, k: int):
         directory = self.owner._ensure_spool_dir()
@@ -568,7 +565,6 @@ class ShardPipeline:
             rho_raw=self.rho_raw,
             best_idx=self.best_idx,
             best_sq=self.best_sq,
-            cost_chunks=[chunk for chunk in self.cost_chunks],
             density_counter=self.density_counter,
             dep_counter=self.dep_counter,
             halo_exported=int(self.halo_exported),

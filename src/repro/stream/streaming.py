@@ -209,7 +209,6 @@ class StreamingDPC:
             seed=self.seed,
             leaf_size=self.leaf_size,
             backend="serial",
-            record_costs=False,
             engine=self.engine,
             dual_frontier=self.dual_frontier,
             kernel=self.kernel,

@@ -1,11 +1,9 @@
-"""Integration tests for the simulated multicore behaviour (Figure 9 shapes)."""
+"""Integration tests: real multi-threaded fits reproduce serial fits."""
 
 import pytest
 
-from repro.baselines import LSHDDP, ScanDPC
 from repro.core import ApproxDPC, ExDPC, SApproxDPC
 from repro.data import generate_syn
-from repro.parallel.simulate import simulate_speedup_curve
 
 D_CUT = 3_000.0
 K = 8
@@ -15,73 +13,6 @@ K = 8
 def syn_points():
     points, _ = generate_syn(n_points=1_500, n_peaks=K, seed=5)
     return points
-
-
-class TestThreadScalingShapes:
-    def test_approx_dpc_scales_nearly_linearly(self, syn_points):
-        result = ApproxDPC(d_cut=D_CUT, n_clusters=K).fit(syn_points)
-        profile = result.parallel_profile_
-        assert profile.speedup(4) > 3.0
-        assert profile.speedup(12) > 8.0
-
-    def test_s_approx_dpc_scales(self, syn_points):
-        result = SApproxDPC(d_cut=D_CUT, epsilon=0.5, n_clusters=K).fit(syn_points)
-        assert result.parallel_profile_.speedup(12) > 6.0
-
-    def test_ex_dpc_plateaus_from_sequential_dependency(self, syn_points):
-        """Figure 9: scalar Ex-DPC cannot exploit many threads (Amdahl).
-
-        The incremental-tree dependency phase of ``engine="scalar"`` is
-        inherently sequential (§3); the batch/dual engines route the phase
-        through the unified nearest-denser join, whose queries are
-        independent, so only the scalar engine keeps the paper's plateau.
-        """
-        result = ExDPC(d_cut=D_CUT, n_clusters=K, engine="scalar").fit(syn_points)
-        profile = result.parallel_profile_
-        dependency_share = profile.phase("dependency").total_cost / profile.total_serial_time()
-        upper_bound = 1.0 / dependency_share
-        assert profile.speedup(48) <= upper_bound + 1e-6
-        # The approximate algorithms beat it at high thread counts.
-        approx = ApproxDPC(d_cut=D_CUT, n_clusters=K).fit(syn_points)
-        assert approx.parallel_profile_.speedup(48) > profile.speedup(48)
-
-    def test_ex_dpc_join_engines_lift_the_plateau(self, syn_points):
-        """The batch/dual dependency joins are embarrassingly parallel."""
-        scalar = ExDPC(d_cut=D_CUT, n_clusters=K, engine="scalar").fit(syn_points)
-        for engine in ("batch", "dual"):
-            joined = ExDPC(d_cut=D_CUT, n_clusters=K, engine=engine).fit(syn_points)
-            assert (
-                joined.parallel_profile_.speedup(48)
-                > scalar.parallel_profile_.speedup(48)
-            )
-
-    def test_speedup_monotone_in_threads(self, syn_points):
-        result = ApproxDPC(d_cut=D_CUT, n_clusters=K).fit(syn_points)
-        curve = simulate_speedup_curve(result.parallel_profile_, [1, 2, 4, 8, 16, 32, 48])
-        times = list(curve.values())
-        assert all(later <= earlier + 1e-12 for earlier, later in zip(times, times[1:]))
-
-    def test_scan_parallelises_but_stays_slow(self, syn_points):
-        scan = ScanDPC(d_cut=D_CUT, n_clusters=K).fit(syn_points)
-        approx = ApproxDPC(d_cut=D_CUT, n_clusters=K).fit(syn_points)
-        # Even with 48 simulated threads, quadratic work keeps Scan behind
-        # single-threaded Approx-DPC on wall-clock (Figure 9 shape).
-        assert scan.parallel_profile_.speedup(48) > 10.0
-        assert (
-            scan.parallel_profile_.simulated_time(48)
-            > 0.1 * approx.parallel_profile_.simulated_time(48)
-        )
-
-    def test_lsh_ddp_load_imbalance_hurts_scaling(self, syn_points):
-        """The paper's critique: no load balancing limits LSH-DDP's speedup."""
-        lsh = LSHDDP(d_cut=D_CUT, n_clusters=K, seed=0).fit(syn_points)
-        approx = ApproxDPC(d_cut=D_CUT, n_clusters=K, seed=0).fit(syn_points)
-        assert approx.parallel_profile_.speedup(48) >= lsh.parallel_profile_.speedup(48)
-
-    def test_efficiency_parameter_reduces_speedup(self, syn_points):
-        result = ApproxDPC(d_cut=D_CUT, n_clusters=K).fit(syn_points)
-        profile = result.parallel_profile_
-        assert profile.speedup(48, efficiency=0.45) < profile.speedup(48, efficiency=1.0)
 
 
 class TestRealThreadsMatchSerial:

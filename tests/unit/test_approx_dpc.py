@@ -109,17 +109,6 @@ class TestEfficiencyBookkeeping:
             < ex.work_["dependency_distance_calcs"]
         )
 
-    def test_profile_uses_greedy_policy(self, tiny_syn):
-        points, _ = tiny_syn
-        result = ApproxDPC(d_cut=4_000.0, n_clusters=5).fit(points)
-        policies = {phase.policy for phase in result.parallel_profile_.phases}
-        assert policies == {"greedy"}
-
-    def test_simulated_speedup_scales(self, tiny_syn):
-        points, _ = tiny_syn
-        result = ApproxDPC(d_cut=4_000.0, n_clusters=5).fit(points)
-        assert result.parallel_profile_.speedup(12) > 4.0
-
     def test_explicit_partition_count(self, tiny_syn):
         points, _ = tiny_syn
         default = ApproxDPC(d_cut=4_000.0, n_clusters=5, seed=0).fit(points)

@@ -147,12 +147,6 @@ class TestLSHDDP:
         many = LSHDDP(d_cut=4_000.0, n_clusters=5, seed=0, n_tables=6).fit(points)
         assert many.rho_raw_.sum() >= few.rho_raw_.sum()
 
-    def test_profile_uses_hash_policy(self, tiny_syn):
-        points, _ = tiny_syn
-        result = LSHDDP(d_cut=4_000.0, n_clusters=5, seed=0).fit(points)
-        policies = {phase.policy for phase in result.parallel_profile_.phases}
-        assert policies == {"hash"}
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             LSHDDP(d_cut=1.0, n_clusters=2, n_tables=0)

@@ -241,11 +241,3 @@ class TestPartitionedSearcherContract:
             neighbor, distance = searcher.query(index)
             assert neighbor == expected[index]
             assert distance == expected_d[index]
-
-    def test_query_costs_matches_scalar_estimates(self, cloud):
-        points, rho = cloud
-        searcher = PartitionedDependencySearcher(points, rho, n_partitions=5)
-        values = rho[:20]
-        batch = searcher.query_costs(values)
-        for value, cost in zip(values, batch):
-            assert searcher.query_cost(float(value)) == cost

@@ -88,29 +88,31 @@ class TestWorkAndProfile:
         # Quadratic growth would be 16x; the kd-tree should stay well below.
         assert work_large / work_small < 10.0
 
-    def test_dependency_phase_is_sequential_in_profile(self, small_blobs):
-        """The scalar incremental-tree dependency phase is sequential (§3);
-        the batch/dual engines route it through the parallel join layer."""
+    def test_scalar_engine_work_independent_of_worker_count(self, small_blobs):
+        """The scalar engine's incremental-tree dependency phase (§3) is
+        sequential, so its counters cannot depend on the worker count."""
         points, _ = small_blobs
-        result = ExDPC(d_cut=5_000.0, n_clusters=3, engine="scalar").fit(points)
-        dependency = result.parallel_profile_.phase("dependency")
-        assert dependency.policy == "sequential"
-        assert dependency.makespan(48) == pytest.approx(dependency.makespan(1))
+        serial = ExDPC(d_cut=5_000.0, n_clusters=3, engine="scalar", n_jobs=1).fit(points)
+        threaded = ExDPC(
+            d_cut=5_000.0, n_clusters=3, engine="scalar", n_jobs=4, backend="thread"
+        ).fit(points)
+        assert serial.work_ == threaded.work_
+        np.testing.assert_array_equal(serial.dependent_, threaded.dependent_)
 
-    def test_dependency_phase_is_parallel_for_join_engines(self, small_blobs):
+    def test_batch_engine_results_independent_of_worker_count(self, small_blobs):
+        """The batch engine's chunk boundaries follow the worker count, which
+        may move its counters but never its results."""
         points, _ = small_blobs
-        for engine in ("batch", "dual"):
-            result = ExDPC(d_cut=5_000.0, n_clusters=3, engine=engine).fit(points)
-            dependency = result.parallel_profile_.phase("dependency")
-            assert dependency.policy == "dynamic"
-            assert dependency.makespan(12) < dependency.makespan(1)
-
-    def test_density_phase_is_dynamic_in_profile(self, small_blobs):
-        points, _ = small_blobs
-        result = ExDPC(d_cut=5_000.0, n_clusters=3).fit(points)
-        density = result.parallel_profile_.phase("local_density")
-        assert density.policy == "dynamic"
-        assert density.makespan(12) < density.makespan(1)
+        fits = [
+            ExDPC(
+                d_cut=5_000.0, n_clusters=3, engine="batch", n_jobs=n_jobs, backend="thread"
+            ).fit(points)
+            for n_jobs in (1, 2, 4)
+        ]
+        for fit in fits[1:]:
+            np.testing.assert_array_equal(fit.labels_, fits[0].labels_)
+            np.testing.assert_array_equal(fit.dependent_, fits[0].dependent_)
+            np.testing.assert_array_equal(fit.delta_, fits[0].delta_)
 
     def test_exact_dependency_mask_all_true(self, small_blobs):
         points, _ = small_blobs

@@ -3,8 +3,23 @@
 import numpy as np
 import pytest
 
+from repro.baselines import CFSFDPA, LSHDDP, RTreeScanDPC
+from repro.core import ApproxDPC, SApproxDPC
 from repro.core.ex_dpc import ExDPC
 from repro.baselines.scan import ScanDPC
+from repro.shard import ShardedDPC
+
+ESTIMATORS = [
+    pytest.param(ExDPC, id="ex-dpc"),
+    pytest.param(ApproxDPC, id="approx-dpc"),
+    pytest.param(SApproxDPC, id="s-approx-dpc"),
+    pytest.param(ScanDPC, id="scan"),
+    pytest.param(RTreeScanDPC, id="rtree-scan"),
+    pytest.param(LSHDDP, id="lsh-ddp"),
+    pytest.param(CFSFDPA, id="cfsfdp-a"),
+    pytest.param(ShardedDPC, id="sharded"),
+]
+ENGINE_AWARE = (ExDPC, ApproxDPC, SApproxDPC, ShardedDPC)
 
 
 class TestParameterValidation:
@@ -98,33 +113,75 @@ class TestFitContract:
         result = ExDPC(d_cut=5_000.0, n_clusters=3).fit(points)
         assert (result.dependent_[result.centers_] == -1).all()
 
-    def test_record_costs_false_disables_profile(self, small_blobs):
-        points, _ = small_blobs
-        result = ExDPC(d_cut=5_000.0, n_clusters=3, record_costs=False).fit(points)
-        assert result.parallel_profile_.phases == []
-
-    def test_profile_phases_recorded_by_default(self, small_blobs):
-        points, _ = small_blobs
-        result = ExDPC(d_cut=5_000.0, n_clusters=3).fit(points)
-        names = [phase.name for phase in result.parallel_profile_.phases]
-        assert any(name.startswith("local_density") for name in names)
-        assert any(name.startswith("dependency") for name in names)
-
-    def test_profile_costs_scaled_to_measured_seconds(self, small_blobs):
-        points, _ = small_blobs
-        result = ScanDPC(d_cut=5_000.0, n_clusters=3).fit(points)
-        profile = result.parallel_profile_
-        density_phases = [
-            phase for phase in profile.phases if phase.name.startswith("local_density")
-        ]
-        recorded = sum(phase.total_cost for phase in density_phases)
-        assert recorded == pytest.approx(result.timings_["local_density"], rel=0.05)
-
     def test_threaded_execution_matches_serial(self, small_blobs):
         points, _ = small_blobs
         serial = ScanDPC(d_cut=5_000.0, n_clusters=3, seed=0, n_jobs=1).fit(points)
         threaded = ScanDPC(d_cut=5_000.0, n_clusters=3, seed=0, n_jobs=4).fit(points)
         np.testing.assert_array_equal(serial.labels_, threaded.labels_)
+
+
+class TestParallelAccounting:
+    """Every fit accounts for its parallel execution with ``timings_`` and
+    ``work_`` alone, and keeps no per-task cost arrays on its result."""
+
+    PHASES = ("index_build", "local_density", "dependency", "assignment")
+
+    @pytest.mark.parametrize("cls", ESTIMATORS)
+    def test_work_counters_add_up(self, cls, small_blobs):
+        points, _ = small_blobs
+        work = cls(d_cut=5_000.0, n_clusters=3, seed=0).fit(points).work_
+        assert set(work) == {
+            "density_distance_calcs",
+            "dependency_distance_calcs",
+            "total_distance_calcs",
+        }
+        assert work["density_distance_calcs"] > 0
+        assert work["total_distance_calcs"] == (
+            work["density_distance_calcs"] + work["dependency_distance_calcs"]
+        )
+
+    @pytest.mark.parametrize("cls", ESTIMATORS)
+    def test_timings_cover_every_phase(self, cls, small_blobs):
+        points, _ = small_blobs
+        result = cls(d_cut=5_000.0, n_clusters=3, seed=0).fit(points)
+        assert set(result.timings_) == set(self.PHASES) | {"total"}
+        assert all(seconds >= 0.0 for seconds in result.timings_.values())
+        phase_sum = sum(result.timings_[phase] for phase in self.PHASES)
+        assert result.timings_["total"] >= phase_sum
+
+    @pytest.mark.parametrize("cls", ESTIMATORS)
+    def test_result_arrays_are_per_point_outputs_only(self, cls, small_blobs):
+        points, _ = small_blobs
+        result = cls(d_cut=5_000.0, n_clusters=3, seed=0).fit(points)
+        arrays = {
+            name for name, value in vars(result).items() if isinstance(value, np.ndarray)
+        }
+        assert arrays == {
+            "labels_",
+            "rho_",
+            "rho_raw_",
+            "delta_",
+            "dependent_",
+            "dependent_raw_",
+            "centers_",
+            "noise_mask_",
+            "exact_dependency_mask_",
+        }
+
+    @pytest.mark.parametrize("cls", ESTIMATORS)
+    def test_work_independent_of_worker_count(self, cls, small_blobs):
+        # The baselines have one engine; the engine-aware estimators are
+        # pinned to the dual engine, whose decomposition depends on the data
+        # alone (the batch engine's chunk boundaries follow the worker count).
+        points, _ = small_blobs
+        extra = {"engine": "dual"} if cls in ENGINE_AWARE else {}
+        fits = [
+            cls(d_cut=5_000.0, n_clusters=3, seed=0, n_jobs=n_jobs, **extra).fit(points)
+            for n_jobs in (1, 2, 3)
+        ]
+        for fit in fits[1:]:
+            assert fit.work_ == fits[0].work_
+            np.testing.assert_array_equal(fit.labels_, fits[0].labels_)
 
 
 class TestResultHelpers:

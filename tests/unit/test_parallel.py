@@ -1,135 +1,11 @@
-"""Unit tests for repro.parallel (partition, scheduler, executor, simulate)."""
+"""Unit tests for repro.parallel.executor."""
 
 import os
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.parallel.executor import ParallelExecutor, resolve_n_jobs
-from repro.parallel.partition import greedy_partition, hash_partition, partition_imbalance
-from repro.parallel.scheduler import dynamic_schedule_makespan, static_schedule_makespan
-from repro.parallel.simulate import ParallelPhase, SimulatedMulticore, simulate_speedup_curve
-
-
-class TestGreedyPartition:
-    def test_covers_every_task_once(self):
-        costs = np.random.default_rng(0).uniform(1.0, 10.0, size=57)
-        parts = greedy_partition(costs, 5)
-        combined = np.sort(np.concatenate(parts))
-        np.testing.assert_array_equal(combined, np.arange(57))
-
-    def test_balances_uniform_costs(self):
-        costs = np.ones(100)
-        parts = greedy_partition(costs, 4)
-        sizes = [p.size for p in parts]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_beats_hash_partition_on_skewed_costs(self):
-        rng = np.random.default_rng(1)
-        costs = rng.pareto(1.2, size=200) + 0.1
-        greedy = greedy_partition(costs, 8)
-        hashed = hash_partition(200, 8)
-        assert partition_imbalance(costs, greedy) <= partition_imbalance(costs, hashed)
-
-    def test_graham_bound(self):
-        # LPT guarantees makespan <= (4/3 - 1/(3m)) * OPT; compare against the
-        # trivial lower bounds max(cost) and sum/m.
-        rng = np.random.default_rng(2)
-        costs = rng.uniform(0.5, 20.0, size=64)
-        workers = 6
-        parts = greedy_partition(costs, workers)
-        makespan = static_schedule_makespan(costs, parts)
-        lower_bound = max(costs.max(), costs.sum() / workers)
-        assert makespan <= (4.0 / 3.0) * lower_bound + 1e-9
-
-    def test_empty_costs(self):
-        parts = greedy_partition([], 3)
-        assert len(parts) == 3
-        assert all(p.size == 0 for p in parts)
-
-    def test_fewer_tasks_than_workers(self):
-        parts = greedy_partition([5.0, 1.0], 4)
-        non_empty = [p for p in parts if p.size]
-        assert len(non_empty) == 2
-
-    def test_negative_costs_rejected(self):
-        with pytest.raises(ValueError):
-            greedy_partition([-1.0, 2.0], 2)
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            greedy_partition([1.0], 0)
-
-    def test_deterministic(self):
-        costs = np.random.default_rng(3).uniform(size=30)
-        a = greedy_partition(costs, 4)
-        b = greedy_partition(costs, 4)
-        for left, right in zip(a, b):
-            np.testing.assert_array_equal(left, right)
-
-
-class TestHashPartition:
-    def test_round_robin(self):
-        parts = hash_partition(10, 3)
-        np.testing.assert_array_equal(parts[0], [0, 3, 6, 9])
-        np.testing.assert_array_equal(parts[1], [1, 4, 7])
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            hash_partition(-1, 2)
-
-
-class TestImbalance:
-    def test_perfect_balance_is_one(self):
-        costs = np.ones(8)
-        parts = greedy_partition(costs, 4)
-        assert partition_imbalance(costs, parts) == pytest.approx(1.0)
-
-    def test_zero_total_cost(self):
-        assert partition_imbalance(np.zeros(4), hash_partition(4, 2)) == 1.0
-
-    def test_subnormal_total_cost(self):
-        # The mean of a subnormal total underflows to zero; the imbalance
-        # must stay finite and warning-free.
-        costs = np.array([5e-324, 0.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            imbalance = partition_imbalance(costs, hash_partition(2, 2))
-        assert imbalance == 2.0
-
-
-class TestSchedulers:
-    def test_dynamic_single_worker_is_sum(self):
-        costs = [1.0, 2.0, 3.0]
-        assert dynamic_schedule_makespan(costs, 1) == pytest.approx(6.0)
-
-    def test_dynamic_known_example(self):
-        # Two workers, tasks [4, 3, 2, 1] in order: w0 gets 4, w1 gets 3,
-        # w1 finishes first and takes 2 (total 5), w0 takes 1 (total 5).
-        assert dynamic_schedule_makespan([4.0, 3.0, 2.0, 1.0], 2) == pytest.approx(5.0)
-
-    def test_dynamic_never_below_lower_bounds(self):
-        rng = np.random.default_rng(4)
-        costs = rng.uniform(0.1, 5.0, size=40)
-        span = dynamic_schedule_makespan(costs, 6)
-        assert span >= costs.max() - 1e-12
-        assert span >= costs.sum() / 6 - 1e-12
-
-    def test_dynamic_empty(self):
-        assert dynamic_schedule_makespan([], 4) == 0.0
-
-    def test_dynamic_rejects_negative(self):
-        with pytest.raises(ValueError):
-            dynamic_schedule_makespan([-1.0], 2)
-
-    def test_static_makespan(self):
-        costs = np.array([5.0, 1.0, 1.0, 1.0])
-        assignments = [np.array([0]), np.array([1, 2, 3])]
-        assert static_schedule_makespan(costs, assignments) == pytest.approx(5.0)
-
-    def test_static_empty_assignments(self):
-        assert static_schedule_makespan([], []) == 0.0
+from repro.parallel.executor import ParallelExecutor, resolve_n_jobs, split_indices
 
 
 class TestExecutor:
@@ -176,70 +52,126 @@ class TestExecutor:
         assert results == [3, 3]
 
 
-class TestSimulatedMulticore:
-    def test_sequential_phase_never_speeds_up(self):
-        phase = ParallelPhase(name="dep", policy="sequential", task_costs=[10.0])
-        assert phase.makespan(1) == pytest.approx(10.0)
-        assert phase.makespan(48) == pytest.approx(10.0)
+class TestSplitIndices:
+    def test_concatenation_restores_range(self):
+        chunks = split_indices(103, 7)
+        np.testing.assert_array_equal(np.concatenate(chunks), np.arange(103))
 
-    def test_greedy_phase_scales(self):
-        costs = np.ones(64)
-        phase = ParallelPhase(name="rho", policy="greedy", task_costs=costs)
-        assert phase.makespan(8) == pytest.approx(8.0)
-        assert phase.makespan(1) == pytest.approx(64.0)
+    def test_chunks_are_contiguous(self):
+        for chunk in split_indices(50, 6):
+            np.testing.assert_array_equal(
+                chunk, np.arange(chunk[0], chunk[0] + chunk.size)
+            )
 
-    def test_dynamic_phase_scales(self):
-        costs = np.ones(100)
-        phase = ParallelPhase(name="rho", policy="dynamic", task_costs=costs)
-        assert phase.makespan(10) == pytest.approx(10.0)
+    def test_chunk_count_is_requested_count(self):
+        assert len(split_indices(100, 8)) == 8
 
-    def test_hash_phase_suffers_from_skew(self):
-        # One huge task plus many small ones: greedy isolates the huge task,
-        # round-robin may co-locate it with others.
-        costs = np.ones(63)
-        costs = np.concatenate([[100.0], costs])
-        greedy = ParallelPhase(name="a", policy="greedy", task_costs=costs)
-        hashed = ParallelPhase(name="a", policy="hash", task_costs=costs)
-        assert greedy.makespan(8) <= hashed.makespan(8) + 1e-9
+    def test_sizes_differ_by_at_most_one(self):
+        sizes = [chunk.size for chunk in split_indices(101, 8)]
+        assert max(sizes) - min(sizes) <= 1
+        assert sum(sizes) == 101
 
-    def test_unknown_policy_rejected(self):
+    def test_more_chunks_than_items_drops_empty(self):
+        chunks = split_indices(3, 10)
+        assert len(chunks) == 3
+        assert all(chunk.size == 1 for chunk in chunks)
+
+    def test_single_chunk_is_whole_range(self):
+        (chunk,) = split_indices(9, 1)
+        np.testing.assert_array_equal(chunk, np.arange(9))
+
+    def test_empty_range_has_no_chunks(self):
+        assert split_indices(0, 4) == []
+
+    def test_index_dtype(self):
+        assert all(chunk.dtype == np.intp for chunk in split_indices(20, 3))
+
+    def test_negative_items_rejected(self):
         with pytest.raises(ValueError):
-            ParallelPhase(name="x", policy="magic", task_costs=[1.0])
+            split_indices(-1, 2)
 
-    def test_efficiency_bounds(self):
-        phase = ParallelPhase(name="x", policy="greedy", task_costs=np.ones(10))
+    @pytest.mark.parametrize("n_chunks", [0, -3])
+    def test_invalid_chunk_count_rejected(self, n_chunks):
         with pytest.raises(ValueError):
-            phase.makespan(4, efficiency=0.0)
+            split_indices(10, n_chunks)
+
+
+class TestMapIndexChunks:
+    @staticmethod
+    def _record(executor, n_items, chunks_per_worker=4):
+        seen = []
+
+        def func(chunk):
+            seen.append(chunk.copy())
+            return chunk
+
+        results = executor.map_index_chunks(func, n_items, chunks_per_worker)
+        return seen, results
+
+    def test_single_worker_uses_one_chunk(self):
+        seen, _ = self._record(ParallelExecutor(1), 40)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], np.arange(40))
+
+    def test_chunk_count_is_workers_times_chunks_per_worker(self):
+        seen, _ = self._record(ParallelExecutor(3, backend="thread"), 100, 2)
+        assert len(seen) == 6
+
+    def test_results_come_back_in_index_order(self):
+        _, results = self._record(ParallelExecutor(4, backend="thread"), 97)
+        np.testing.assert_array_equal(np.concatenate(results), np.arange(97))
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_chunking_is_the_same_on_every_backend(self, backend):
+        executor = ParallelExecutor(2, backend=backend)
+        try:
+            _, results = self._record(executor, 45, 3)
+        finally:
+            executor.close()
+        expected = split_indices(45, 6)
+        assert len(results) == len(expected)
+        for got, want in zip(results, expected):
+            np.testing.assert_array_equal(got, want)
+
+    def test_zero_items_returns_nothing(self):
+        assert ParallelExecutor(2, backend="thread").map_index_chunks(len, 0) == []
+
+    def test_invalid_chunks_per_worker_rejected(self):
         with pytest.raises(ValueError):
-            phase.makespan(4, efficiency=1.5)
+            ParallelExecutor(2, backend="thread").map_index_chunks(len, 10, 0)
 
-    def test_efficiency_slows_scaling(self):
-        phase = ParallelPhase(name="x", policy="greedy", task_costs=np.ones(256))
-        assert phase.makespan(16, efficiency=0.5) > phase.makespan(16, efficiency=1.0)
+    def test_errors_propagate_from_workers(self):
+        def fail_on_last(chunk):
+            if chunk[-1] == 19:
+                raise RuntimeError("chunk failed")
+            return chunk
 
-    def test_profile_speedup_mixture(self):
-        profile = SimulatedMulticore()
-        profile.add_phase("local_density", "greedy", np.ones(100))
-        profile.add_phase("dependency", "sequential", [100.0])
-        # Total serial time 200; with many threads the parallel half vanishes,
-        # so the speedup saturates at ~2x (Amdahl).
-        assert profile.speedup(1) == pytest.approx(1.0)
-        assert 1.5 < profile.speedup(100) <= 2.0 + 1e-9
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            ParallelExecutor(2, backend="thread").map_index_chunks(fail_on_last, 20)
 
-    def test_profile_phase_lookup(self):
-        profile = SimulatedMulticore()
-        profile.add_phase("a", "greedy", [1.0])
-        assert profile.phase("a").name == "a"
-        with pytest.raises(KeyError):
-            profile.phase("missing")
 
-    def test_speedup_curve(self):
-        profile = SimulatedMulticore()
-        profile.add_phase("a", "greedy", np.ones(64))
-        curve = simulate_speedup_curve(profile, [1, 2, 4])
-        assert curve[1] >= curve[2] >= curve[4]
+class TestExecutorLifecycle:
+    def test_explicit_backend_and_n_jobs(self):
+        executor = ParallelExecutor(3, backend="serial")
+        assert executor.backend == "serial"
+        assert executor.n_jobs == 3
 
-    def test_total_serial_time(self):
-        profile = SimulatedMulticore()
-        profile.add_phase("a", "greedy", [1.0, 2.0], serial_overhead=0.5)
-        assert profile.total_serial_time() == pytest.approx(3.5)
+    def test_backend_defaults_from_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DEFAULT_BACKEND", "serial")
+        assert ParallelExecutor(2).backend == "serial"
+
+    def test_submit_runs_off_the_calling_thread(self):
+        import threading
+
+        caller = threading.get_ident()
+        with ParallelExecutor(2, backend="serial") as executor:
+            worker = executor.submit(threading.get_ident).result()
+            assert executor._thread_pool is not None
+        assert worker != caller
+        assert executor._thread_pool is None
+
+    def test_context_manager_shuts_down_process_pool(self):
+        with ParallelExecutor(2, backend="process") as executor:
+            executor._ensure_pool()
+            assert executor._pool is not None
+        assert executor._pool is None

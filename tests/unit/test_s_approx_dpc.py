@@ -126,14 +126,3 @@ class TestQualityAndBookkeeping:
         default = SApproxDPC(d_cut=4_000.0, epsilon=1.0, n_clusters=5, seed=0).fit(points)
         assert rand_index(ex.labels_, forced.labels_) > 0.8
         assert rand_index(default.labels_, forced.labels_) > 0.9
-
-    def test_profile_uses_greedy_policy(self, tiny_syn):
-        points, _ = tiny_syn
-        result = SApproxDPC(d_cut=4_000.0, epsilon=0.5, n_clusters=5).fit(points)
-        policies = {phase.policy for phase in result.parallel_profile_.phases}
-        assert policies == {"greedy"}
-
-    def test_simulated_speedup_scales(self, tiny_syn):
-        points, _ = tiny_syn
-        result = SApproxDPC(d_cut=4_000.0, epsilon=0.5, n_clusters=5).fit(points)
-        assert result.parallel_profile_.speedup(12) > 3.0

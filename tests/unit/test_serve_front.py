@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import asyncio
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import ExDPC
 from repro.serve import PredictClient, ReplicaFront
 from repro.stream.snapshot import save_model
@@ -145,3 +152,58 @@ class TestReplicaFront:
 
         labels = run_front(snapshot, interleave)
         np.testing.assert_array_equal(labels, expected)
+
+    def test_replicas_predict_on_the_process_backend(self, fitted, tmp_path):
+        # A replica must be able to start the worker pool of a model that
+        # predicts on the process backend.
+        _, points = fitted
+        model = ExDPC(2_000.0, rho_min=2, n_clusters=3, seed=0, n_jobs=2, backend="process")
+        model.fit(points)
+        path = tmp_path / "process-model.npz"
+        save_model(model, path)
+        queries = points[:40]
+
+        async def once(front, client):
+            return await client.predict("m", queries)
+
+        labels = run_front(path, once, replicas=1)
+        np.testing.assert_array_equal(labels, model.predict(queries))
+
+    def test_unclosed_front_does_not_hang_exit(self, snapshot):
+        # Replicas are non-daemonic (so they may start worker pools); a front
+        # that is never closed must still let the interpreter exit and take
+        # its replicas down with it.
+        script = textwrap.dedent(
+            f"""
+            import asyncio, json
+            from repro.serve import PredictClient, ReplicaFront
+
+            async def main():
+                front = ReplicaFront([("m", {str(snapshot)!r})], replicas=1)
+                host, port = await front.start()
+                client = await PredictClient.connect(host, port)
+                await client.predict("m", [[0.0, 0.0]])
+                await client.close()
+                print(json.dumps([p.pid for p in front._processes]), flush=True)
+
+            asyncio.run(main())
+            """
+        )
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            path for path in (src, env.get("PYTHONPATH")) if path
+        )
+        finished = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert finished.returncode == 0, finished.stderr
+        pids = json.loads(finished.stdout.strip().splitlines()[-1])
+        assert len(pids) == 1
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
