@@ -27,15 +27,13 @@ perf-trajectory file ``BENCH_density.json`` (schema: phase ->
 engine -> {n, d, dpc_variant, phase, seconds, speedup_vs_scalar}) so future
 PRs can track regressions; CI uploads the reduced-n version as an artifact.
 
-``--dims 2,3,4,5`` runs the engine x dimension sweep (batch vs dual only;
-the scalar engine is omitted because it is minutes-slow at these sizes) that
-backs the guidance table in ``docs/performance.md``.
+The engine x dimension sweep behind ``engine="auto"`` lives in
+``bench_engine_crossover.py``.
 
 Run with::
 
     PYTHONPATH=src python benchmarks/bench_batch_vs_scalar.py
     PYTHONPATH=src python benchmarks/bench_batch_vs_scalar.py --n 50000 --json out.json
-    PYTHONPATH=src python benchmarks/bench_batch_vs_scalar.py --n 50000 --dims 2,3,4,5
 """
 
 from __future__ import annotations
@@ -205,57 +203,6 @@ def run_microbench(
     }
 
 
-def run_dim_sweep(n: int, dims: list[int], leaf_size: int = 32, seed: int = 0) -> list[dict]:
-    """Engine x dimension sweep (batch vs dual) for density and dependency.
-
-    The scalar engine is omitted -- it is minutes-slow at these sizes and the
-    question the sweep answers is *when does dual stop beating batch*, which
-    backs the ``engine="auto"`` heuristic and the guidance table in
-    ``docs/performance.md``.  Results are verified identical per dimension.
-    """
-    extent = 1000.0
-    rows: list[dict] = []
-    for dim in dims:
-        rng = np.random.default_rng(seed)
-        points = rng.uniform(0.0, extent, size=(n, dim))
-        d_cut = density_radius(n, dim, extent, DEFAULT_TARGET_DENSITY)
-        tree = KDTree(points, leaf_size=leaf_size)
-        tree.points_ordered
-
-        start = time.perf_counter()
-        counts_batch = tree.range_count_batch(points, d_cut)
-        density_batch_s = time.perf_counter() - start
-        start = time.perf_counter()
-        counts_dual = tree.range_count_dual(d_cut)
-        density_dual_s = time.perf_counter() - start
-        np.testing.assert_array_equal(counts_batch, counts_dual)
-
-        rho = _tiebroken_rho(tree, d_cut, seed)
-        start = time.perf_counter()
-        searcher = PartitionedDependencySearcher(points, rho, leaf_size=leaf_size)
-        dep_batch = searcher.query_batch(np.arange(n))
-        dependency_batch_s = time.perf_counter() - start
-        start = time.perf_counter()
-        tree.attach_density_bounds(rho)
-        dep_dual = tree.range_nn_dual(rho)
-        dependency_dual_s = time.perf_counter() - start
-        np.testing.assert_array_equal(dep_batch[0], dep_dual[0])
-        np.testing.assert_array_equal(dep_batch[1], dep_dual[1])
-
-        rows.append(
-            {
-                "d": dim,
-                "density_batch_s": density_batch_s,
-                "density_dual_s": density_dual_s,
-                "density_dual_vs_batch": density_batch_s / density_dual_s,
-                "dependency_batch_s": dependency_batch_s,
-                "dependency_dual_s": dependency_dual_s,
-                "dependency_dual_vs_batch": dependency_batch_s / dependency_dual_s,
-            }
-        )
-    return rows
-
-
 def density_trajectory(payload: dict) -> dict:
     """Perf-trajectory record, one entry per phase per engine.
 
@@ -302,13 +249,6 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", type=str, default=None, help="write results to this path")
     parser.add_argument(
-        "--dims",
-        type=str,
-        default=None,
-        help="comma-separated dimensions for the engine x dimension sweep "
-        "(batch vs dual only; skips the default microbench)",
-    )
-    parser.add_argument(
         "--bench-json",
         type=str,
         default=str(BENCH_TRAJECTORY_PATH),
@@ -316,25 +256,6 @@ def main() -> None:
         "(default: repo-root BENCH_density.json; pass '' to skip)",
     )
     args = parser.parse_args()
-
-    if args.dims:
-        dims = [int(d) for d in args.dims.split(",")]
-        rows = run_dim_sweep(args.n, dims, leaf_size=args.leaf_size, seed=args.seed)
-        print_table(
-            f"Engine x dimension sweep (n={args.n}, batch vs dual)", rows
-        )
-        print(
-            "\nGuidance: the dependency join wins under dual at every"
-            " dimension and dominates the combined workload; the density"
-            " self-join wins or ties except a small residual around d=4"
-            " (node-granular pruning visits more pairs).  engine='auto'"
-            " picks dual across the measured range (see docs/performance.md)."
-        )
-        if args.json:
-            with open(args.json, "w") as handle:
-                json.dump({"n": args.n, "rows": rows}, handle, indent=2)
-            print(f"JSON written to {args.json}")
-        return
 
     payload = run_microbench(
         n=args.n, dim=args.dim, leaf_size=args.leaf_size, seed=args.seed

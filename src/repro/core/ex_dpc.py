@@ -25,8 +25,11 @@ Dependent points are computed exactly; the strategy follows the engine:
   parallel -- every query is independent.
 * ``engine="dual"`` runs the dependency phase as a dual-tree nearest-denser
   *self-join* (:meth:`repro.index.kdtree.KDTree.range_nn_dual`): one
-  simultaneous traversal with per-query best-distance bounds and per-node
-  density maxima replaces the ``n`` individual searches.
+  simultaneous traversal with per-node density maxima replaces the ``n``
+  individual searches.  Like the paper's per-point search, it bounds each
+  query by that query's own best distance so far: node pairs prune on the
+  loosest bound of their queries, and at the leaves every query is pruned
+  on its own bound and density before any distance is computed.
 
 All three strategies return bit-for-bit identical dependencies, deltas and
 labels (the shared lexicographic tie-break and arithmetic contract of

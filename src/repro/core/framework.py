@@ -77,15 +77,15 @@ ENGINES = ("scalar", "batch", "dual")
 ENGINE_CHOICES = ENGINES + ("auto",)
 
 #: Largest dimensionality at which ``engine="auto"`` picks the dual-tree
-#: engine.  With the blocked kernel tier supplying one canonical sequential
-#: accumulation at every dimensionality, the dual engine wins the combined
-#: density+dependency workload at every dimension of the recorded sweep
-#: (d = 2..5: the nearest-denser join is 2.4-5.4x faster than batch
-#: throughout, and the density self-join wins or ties except a ~0.8x
-#: residual at d=4 caused by node-granular pruning visiting ~1.2x more
-#: pairs, not by arithmetic; see docs/performance.md).  Above the measured
-#: range ``"auto"`` stays with the batch engine pending measurement.
-AUTO_DUAL_MAX_DIM = 5
+#: engine: the largest ``d`` of the measured engine crossover
+#: (``benchmarks/bench_engine_crossover.py``, d = 2..12 on Gaussian blobs
+#: and on household data padded with noise dimensions).  There the dual
+#: fit was 3.1-8.6x faster than batch for Ex-DPC, and within 3% of batch or
+#: faster (up to 1.6x) for Approx-DPC and S-Approx-DPC, whose fits are
+#: dominated by engine-independent grid work; see "When dual wins" in
+#: docs/performance.md.  Above it ``"auto"`` stays with the batch engine
+#: until measured.
+AUTO_DUAL_MAX_DIM = 12
 
 #: Environment variable naming the engine used when an estimator is built
 #: with ``engine=None``; CI pins the batch engine by exporting it.

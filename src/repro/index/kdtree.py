@@ -218,6 +218,14 @@ _DUAL_BLOCK = 32
 #: join.
 _NN_SEED_LEVELS = (1, 8, 64)
 
+#: ``(query, data node)`` entries per chunk of the nearest-denser join's
+#: per-query filter.  The filter runs in host numpy whatever kernel tier
+#: answers the survivors, so its chunk is fixed rather than taken from the
+#: tier's ``block_budget``: about 65k entries keeps its temporaries
+#: cache-sized and the fit's peak memory low.  Chunking never changes
+#: results or counters.
+_NN_FILTER_ENTRIES = 65_536
+
 
 def check_storage_dtype(dtype) -> np.dtype:
     """Normalise a point-storage ``dtype`` parameter to a numpy dtype.
@@ -2242,12 +2250,12 @@ class KDTree:
         ``rho == +inf``, padded candidates ``rho == -inf`` and sentinel
         indices, so neither side can ever be selected) and answered by the
         kernel tier's ``nn_blocks``, one call per budgeted chunk.
-        Candidates fold into the running best arrays by lexicographic
-        (squared distance, data point index), so the outcome is independent
-        of grouping, chunking and arrival order.  The groups' query position
-        sets must be pairwise disjoint (distinct query nodes, or routing
-        that sends each query to exactly one region), which makes the
-        fancy-index merge race-free.
+        A query may appear in several groups (the per-query pruned join
+        sends it to every data node it still has to scan).  Candidates fold
+        into the running best arrays by lexicographic (squared distance,
+        data point index) with unbuffered minima, which stay exact under
+        repeated queries, so the outcome is independent of grouping,
+        chunking and arrival order.
         """
         q_lens = np.asarray(q_lens, dtype=np.intp)
         d_lens = np.asarray(d_lens, dtype=np.intp)
@@ -2267,7 +2275,7 @@ class KDTree:
         # slice of the concatenated position arrays.
         q_off = np.cumsum(q_lens) - q_lens
         d_off = np.cumsum(d_lens) - d_lens
-        g_order = np.argsort(d_lens, kind="stable")
+        g_order = np.lexsort((q_lens, d_lens))
         q_lens, d_lens = q_lens[g_order], d_lens[g_order]
         q_off, d_off = q_off[g_order], d_off[g_order]
 
@@ -2303,18 +2311,21 @@ class KDTree:
                 idx_block.reshape(rows, w_pad),
             )
             cand_sq = cand_sq.reshape(rows * q_pad)[dest_q]
-            cand_idx = cand_idx.reshape(rows * q_pad)[dest_q]
-            cur_sq = best_sq[q_sel]
-            cur_idx = best_idx[q_sel]
-            # cand_idx is unspecified where cand_sq == inf, so mask on
-            # finiteness before the lexicographic comparison.
-            better = np.isfinite(cand_sq) & (
-                (cand_sq < cur_sq) | ((cand_sq == cur_sq) & (cand_idx < cur_idx))
-            )
-            hit = np.flatnonzero(better)
-            if hit.size:
-                best_sq[q_sel[hit]] = cand_sq[hit]
-                best_idx[q_sel[hit]] = cand_idx[hit]
+            # cand_idx is unspecified where cand_sq == inf, so only the
+            # finite candidates fold.
+            found = np.flatnonzero(np.isfinite(cand_sq))
+            cand_q, cand_sq = q_sel[found], cand_sq[found]
+            cand_idx = cand_idx.reshape(rows * q_pad)[dest_q[found]]
+            # Lexicographic fold that stays exact when a query repeats:
+            # unbuffered minima, first over distances, then over the
+            # indices of the candidates tying the new minimum (a query
+            # whose distance strictly improved drops its old index first).
+            old_sq = best_sq[cand_q]
+            np.minimum.at(best_sq, cand_q, cand_sq)
+            new_sq = best_sq[cand_q]
+            best_idx[cand_q[new_sq < old_sq]] = np.iinfo(np.intp).max
+            tie = cand_sq == new_sq
+            np.minimum.at(best_idx, cand_q[tie], cand_idx[tie])
 
     def _nn_seed_level(
         self,
@@ -2371,6 +2382,90 @@ class KDTree:
             best_idx,
         )
 
+    def _nn_terminal_pairs(
+        self,
+        qt: "KDTree",
+        ka: np.ndarray,
+        kb: np.ndarray,
+        pair_min_sq: np.ndarray,
+        node_rho_max: np.ndarray,
+        rho_pos: np.ndarray,
+        rho_q_pos: np.ndarray,
+        best_sq: np.ndarray,
+        best_idx: np.ndarray,
+    ) -> None:
+        """Per-query pruning of one wavefront's terminal pairs, then one merge.
+
+        The ``(q, B)`` entry of each query ``q`` of each pair ``(A, B)``
+        survives only if some point of ``B`` is denser than ``q`` (so
+        hopeless queries never do) and the squared distance from ``q`` to
+        ``B``'s float64 box is at most ``best_sq[q]``.  That box distance
+        bounds every kernel distance into ``B`` from below for the same
+        reason :meth:`_pair_bounds_sq` does, and the pair's box distance
+        ``pair_min_sq`` bounds it in turn, so it rejects most entries
+        before any coordinate is read.  Every test reads ``best_sq`` as it
+        stood before this wavefront's kernels, so the survivors and the
+        work counters do not depend on chunking or frontier slicing.
+        Survivors are grouped by data node, sharing its candidate block,
+        and answered by one :meth:`_nn_merge_groups` call.  See
+        ``docs/dependency_join.md``.
+        """
+        q_start, q_stop = qt._start_arr, qt._stop_arr
+        # Flat views of the row-major coordinates and boxes: coordinate k of
+        # row i sits at i * dim + k, so no per-wavefront copy is needed.
+        dim = self._dim
+        q_flat = np.ascontiguousarray(qt._pruning_ordered).reshape(-1)
+        b_min, b_max = (np.ascontiguousarray(box).reshape(-1) for box in self._pruning_bbox)
+        lanes = int((q_stop[ka] - q_start[ka]).max())
+        lane = np.arange(lanes, dtype=np.intp)
+        step = max(1, _NN_FILTER_ENTRIES // lanes)
+        kept_q: list[np.ndarray] = []
+        kept_b: list[np.ndarray] = []
+        for lo in range(0, ka.size, step):
+            a, b = ka[lo : lo + step], kb[lo : lo + step]
+            last = q_stop[a, None] - 1
+            q = q_start[a, None] + lane
+            valid = q <= last
+            np.minimum(q, last, out=q)
+            bound = best_sq[q]
+            entry = np.flatnonzero(
+                valid
+                & (bound >= pair_min_sq[lo : lo + step, None])
+                & (rho_q_pos[q] < node_rho_max[b, None])
+            )
+            qe, be, bound = q.ravel()[entry], b[entry // lanes], bound.ravel()[entry]
+            q_row, b_row = qe * dim, be * dim
+            # Point-to-box squared distance, summed in ascending dimension
+            # order like every kernel tier.
+            for k in range(dim):
+                x = q_flat[q_row + k]
+                gap = np.maximum(b_min[b_row + k] - x, x - b_max[b_row + k])
+                np.maximum(gap, 0.0, out=gap)
+                box_sq = gap * gap if k == 0 else box_sq + gap * gap
+            live = box_sq <= bound
+            kept_q.append(qe[live])
+            kept_b.append(be[live])
+        q_pos = np.concatenate(kept_q)
+        if q_pos.size == 0:
+            return
+        b_all = np.concatenate(kept_b)
+        order = np.argsort(b_all, kind="stable")
+        q_pos, b_all = q_pos[order], b_all[order]
+        group_first = np.flatnonzero(np.r_[True, b_all[1:] != b_all[:-1]])
+        groups_b = b_all[group_first]
+        d_lens = self._stop_arr[groups_b] - self._start_arr[groups_b]
+        self._nn_merge_groups(
+            qt,
+            q_pos,
+            np.diff(np.r_[group_first, b_all.size]),
+            _concat_ranges(self._start_arr[groups_b], d_lens),
+            d_lens,
+            rho_pos,
+            rho_q_pos,
+            best_sq,
+            best_idx,
+        )
+
     def nn_dual_vs(
         self,
         queries_tree: "KDTree",
@@ -2382,6 +2477,12 @@ class KDTree:
         seed_sq=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Nearest strictly-denser point of this tree for every query point.
+
+        A seeding pyramid gives every query a finite best distance, then a
+        node-pair traversal prunes on per-node density maxima and on the
+        loosest best distance of each query node.  At the terminal pairs
+        every query is pruned again on its *own* best distance and density
+        (:meth:`_nn_terminal_pairs`).
 
         Parameters
         ----------
@@ -2497,12 +2598,15 @@ class KDTree:
             )
             needs = needs[best_idx[needs] < 0]
         if needs.size:
+            # Only points denser than the sparsest survivor can be anyone's
+            # candidate; the rest are ineligible for every survivor.
+            denser = np.flatnonzero(rho_pos > rho_q_pos[needs].min())
             self._nn_merge_groups(
                 qt,
                 needs,
                 np.asarray([needs.size], dtype=np.intp),
-                np.arange(self._n, dtype=np.intp),
-                np.asarray([self._n], dtype=np.intp),
+                denser,
+                np.asarray([denser.size], dtype=np.intp),
                 rho_pos,
                 rho_q_pos,
                 best_sq,
@@ -2546,28 +2650,9 @@ class KDTree:
             live = ~pruned
             kernel = live & q_terminal[a_nodes] & d_terminal[b_nodes]
             if kernel.any():
-                # One mega-batched merge for the whole wavefront: the pruning
-                # bound above was computed before any of these kernels, and
-                # groups (distinct query nodes) touch disjoint query position
-                # slices, so batching cannot change any result bit.
-                ka = a_nodes[kernel]
-                kb = b_nodes[kernel]
-                order = np.lexsort((kb, ka))
-                ka, kb = ka[order], kb[order]
-                group_first = np.flatnonzero(np.r_[True, ka[1:] != ka[:-1]])
-                groups_a = ka[group_first]
-                d_run_len = d_stop[kb] - d_start[kb]
-                q_lens = q_stop[groups_a] - q_start[groups_a]
-                self._nn_merge_groups(
-                    qt,
-                    _concat_ranges(q_start[groups_a], q_lens),
-                    q_lens,
-                    _concat_ranges(d_start[kb], d_run_len),
-                    np.add.reduceat(d_run_len, group_first),
-                    rho_pos,
-                    rho_q_pos,
-                    best_sq,
-                    best_idx,
+                self._nn_terminal_pairs(
+                    qt, a_nodes[kernel], b_nodes[kernel], min_sq[kernel], node_rho_max,
+                    rho_pos, rho_q_pos, best_sq, best_idx,
                 )
             descend = live & ~kernel
             if not descend.any():

@@ -17,7 +17,7 @@ and cold code paths, which is outside the documented guarantee.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ExDPC
@@ -58,6 +58,8 @@ class TestRefitEquivalence:
         operations=_OPERATIONS,
         rho_min=st.sampled_from([None, 2]),
     )
+    # Every initial point falls under rho_min: the first fit itself refuses.
+    @example(data_seed=1208, initial=12, operations=[("insert", 1)], rho_min=2)
     def test_landmark_insert_evict_sequences(
         self, data_seed, initial, operations, rho_min
     ):
@@ -70,27 +72,35 @@ class TestRefitEquivalence:
             refit_equivalence=True,  # raises on any divergence, every step
             min_rebuild=10_000,  # keep the repair path under test
         )
-        stream.fit(_points(rng, initial))
+
+        def refused(step) -> bool:
+            # A window can legitimately leave no selectable center (every
+            # candidate falls under rho_min); the equivalence contract then
+            # is that a cold fit of the same window refuses identically.
+            try:
+                step()
+            except ValueError as error:
+                if "no cluster centers selected" not in str(error):
+                    raise
+                window = stream._points[: stream._n].copy()
+                with pytest.raises(ValueError, match="no cluster centers") as cold:
+                    _cold_labels(window, rho_min)
+                assert str(cold.value) == str(error)
+                return True
+            return False
+
+        if refused(lambda: stream.fit(_points(rng, initial))):
+            return
         for kind, size in operations:
             if kind == "evict":
                 size = min(size, stream.n_points - 2)
                 if size <= 0:
                     continue
-                try:
-                    stream.evict_oldest(size)
-                except ValueError as error:
-                    # Eviction can legitimately leave no selectable center
-                    # (every candidate falls under rho_min); the equivalence
-                    # contract then is that a cold fit of the same window
-                    # refuses identically.
-                    if "no cluster centers selected" not in str(error):
-                        raise
-                    window = stream._points[: stream._n].copy()
-                    with pytest.raises(ValueError, match="no cluster centers"):
-                        _cold_labels(window, rho_min)
-                    return
+                step = lambda: stream.evict_oldest(size)  # noqa: E731
             else:  # landmark mode: update == insert
-                stream.insert(_points(rng, size))
+                step = lambda: stream.insert(_points(rng, size))  # noqa: E731
+            if refused(step):
+                return
         np.testing.assert_array_equal(
             stream.labels_, _cold_labels(stream.window_, rho_min)
         )

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ApproxDPC, ExDPC
 from repro.core.dependency_join import PartitionedDependencySearcher
 from repro.core.framework import effective_engine, resolve_engine
 from repro.core.predict import nearest_denser_bruteforce
+from repro.data import generate_real_like, generate_syn
+from repro.index import kdtree as kdtree_module
 from repro.index.kdtree import (
     DUAL_FRONTIER_AUTO,
     DUAL_FRONTIER_ENV,
@@ -18,6 +22,7 @@ from repro.index.kdtree import (
     resolve_dual_frontier,
 )
 from repro.io import load_model, save_model
+from repro.kernels import pair_distances_sq
 
 
 @pytest.fixture()
@@ -153,11 +158,12 @@ class TestAutoEngine:
     def test_effective_engine_by_dimension(self):
         assert effective_engine("auto", 1) == "dual"
         assert effective_engine("auto", 2) == "dual"
-        # The blocked kernel tier made dual win the combined workload at
-        # every measured dimension (d <= 5); above it, batch until measured.
+        # Dual wins the fit at every measured dimension (d <= 12); above
+        # it, batch until measured.
         assert effective_engine("auto", 3) == "dual"
         assert effective_engine("auto", 5) == "dual"
-        assert effective_engine("auto", 6) == "batch"
+        assert effective_engine("auto", 12) == "dual"
+        assert effective_engine("auto", 13) == "batch"
         assert effective_engine("scalar", 2) == "scalar"
 
     def test_auto_fit_matches_concrete_engines(self, cloud):
@@ -174,10 +180,10 @@ class TestAutoEngine:
         auto4 = ApproxDPC(d_cut=15.0, n_clusters=2, engine="auto")
         auto4.fit(wide)
         assert auto4.engine_ == "dual"  # d=4 now inside the dual window
-        wider = rng.uniform(0.0, 50.0, size=(80, 6))
-        auto6 = ApproxDPC(d_cut=25.0, n_clusters=2, engine="auto")
-        auto6.fit(wider)
-        assert auto6.engine_ == "batch"  # d=6 beyond the measured sweep
+        wider = rng.uniform(0.0, 50.0, size=(80, 13))
+        auto13 = ApproxDPC(d_cut=60.0, n_clusters=2, engine="auto")
+        auto13.fit(wider)
+        assert auto13.engine_ == "batch"  # d=13 beyond the measured sweep
 
     def test_auto_round_trips_through_snapshots(self, tmp_path, cloud):
         points, _ = cloud
@@ -241,3 +247,102 @@ class TestPartitionedSearcherContract:
             neighbor, distance = searcher.query(index)
             assert neighbor == expected[index]
             assert distance == expected_d[index]
+
+
+class TestPerQueryPruning:
+    """The dual join prunes each query on its own best distance.
+
+    The counter gates pin the work the per-query filter saves on the
+    default leaf size; before it, one sparse-region query per leaf made the
+    whole leaf scan its neighbourhood (1,479,973 and 7,325,262 dependency
+    distance calcs on these two fits).
+    """
+
+    def test_syn_dependency_work(self):
+        points = generate_syn(n_points=5000, n_peaks=13, seed=0)[0]
+        model = ExDPC(d_cut=2000, rho_min=5, n_clusters=10, engine="dual")
+        assert model.fit(points).work_["dependency_distance_calcs"] <= 500_000
+
+    def test_household_dependency_work(self):
+        points = generate_real_like("household", n_points=5000, seed=0)[0]
+        model = ExDPC(d_cut=3000, rho_min=5, n_clusters=10, engine="dual")
+        assert model.fit(points).work_["dependency_distance_calcs"] <= 1_500_000
+
+
+@st.composite
+def _join_cases(draw):
+    """Data and query clouds, sometimes on a small lattice (duplicate
+    coordinates and exact distance ties), with tie-heavy densities."""
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        coordinate = st.integers(0, 3).map(float)
+    else:
+        coordinate = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+
+    def cloud(n):
+        rows = st.lists(st.lists(coordinate, min_size=dim, max_size=dim), min_size=n, max_size=n)
+        return np.asarray(draw(rows), dtype=np.float64).reshape(n, dim)
+
+    n_data = draw(st.integers(1, 60))
+    n_query = draw(st.integers(1, 60))
+    density = st.integers(0, 5).map(float)
+    rho = np.asarray(draw(st.lists(density, min_size=n_data, max_size=n_data)))
+    rho_q = np.asarray(draw(st.lists(density, min_size=n_query, max_size=n_query)))
+    return cloud(n_data), rho, cloud(n_query), rho_q
+
+
+def _chunked_join(data_tree, query_tree, rho, rho_q, units, size, **seeds):
+    """Join the query frontier ``units`` in slices of ``size``; returns the
+    merged answers and the distance calcs the slices spent."""
+    idx = np.full(query_tree.size, -1, dtype=np.intp)
+    dist = np.full(query_tree.size, np.inf)
+    before = data_tree.counter.get("distance_calcs")
+    for lo in range(0, units.size, size):
+        part = units[lo : lo + size]
+        got_idx, got_dist = data_tree.nn_dual_vs(query_tree, rho, rho_q, q_nodes=part, **seeds)
+        covered = query_tree.node_positions(part)
+        idx[covered] = got_idx[covered]
+        dist[covered] = got_dist[covered]
+    return idx, dist, data_tree.counter.get("distance_calcs") - before
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_join_cases(), dtype=st.sampled_from(["float64", "float32"]), self_join=st.booleans(),
+       seeded=st.booleans(), seed=st.integers(0, 2**16))
+def test_nn_dual_vs_matches_bruteforce_under_any_chunking(case, dtype, self_join, seeded, seed):
+    data, rho, queries, rho_q = case
+    if self_join:
+        queries, rho_q = data, rho
+    expected, expected_d = nearest_denser_bruteforce(
+        data, rho, queries, rho_q, attach_fallback=False, return_distance=True
+    )
+    seeds = {}
+    if seeded:
+        # Valid external seeds: some genuinely denser point per query (not
+        # necessarily the nearest), at its canonical squared distance.
+        rng = np.random.default_rng(seed)
+        seed_idx = np.full(queries.shape[0], -1, dtype=np.intp)
+        seed_sq = np.full(queries.shape[0], np.inf)
+        for q in range(queries.shape[0]):
+            denser = np.flatnonzero(rho > rho_q[q])
+            if denser.size and rng.random() < 0.7:
+                j = int(rng.choice(denser))
+                seed_idx[q] = j
+                seed_sq[q] = pair_distances_sq(queries[q : q + 1], data[j : j + 1])[0, 0]
+        seeds = dict(seed_idx=seed_idx, seed_sq=seed_sq)
+    previous = kdtree_module._DUAL_BLOCK
+    kdtree_module._DUAL_BLOCK = 2  # small terminal blocks: many pairs, many wavefronts
+    try:
+        data_tree = KDTree(data, leaf_size=2, dtype=dtype)
+        query_tree = data_tree if self_join else KDTree(queries, leaf_size=2, dtype=dtype)
+        runs = [
+            _chunked_join(data_tree, query_tree, rho, rho_q, units, size, **seeds)
+            for units in (np.asarray([0]), query_tree.node_frontier(8))
+            for size in (1, 3, 8)
+        ]
+    finally:
+        kdtree_module._DUAL_BLOCK = previous
+    for idx, dist, calcs in runs:
+        np.testing.assert_array_equal(idx, expected)
+        np.testing.assert_array_equal(dist, expected_d)
+        assert calcs == runs[0][2]

@@ -81,7 +81,7 @@ class TestAutoEngine:
         low.fit(_blobs())
         assert low.engine_ == "dual"
         high = ExDPC(d_cut=60.0, n_clusters=2, seed=0, engine="auto")
-        high.fit(_random_points(150, 6))
+        high.fit(_random_points(150, 13))
         assert high.engine_ == "batch"
 
     @pytest.mark.parametrize(
@@ -130,7 +130,7 @@ class TestAutoEngine:
         np.testing.assert_array_equal(labels["auto"], labels["batch"])
         np.testing.assert_array_equal(labels["auto"], labels["dual"])
 
-    @pytest.mark.parametrize("dim,fit_engine", [(2, "dual"), (6, "batch")])
+    @pytest.mark.parametrize("dim,fit_engine", [(2, "dual"), (13, "batch")])
     def test_snapshot_keeps_both_resolutions(self, tmp_path, dim, fit_engine):
         points = _random_points(150, dim)
         model = ExDPC(d_cut=60.0, n_clusters=2, seed=0, engine="auto")
