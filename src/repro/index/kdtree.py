@@ -315,6 +315,23 @@ def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return _ragged_copy_indices(dest_base, starts, lengths)[1]
 
 
+def _node_reduce(
+    ufunc: np.ufunc, values: np.ndarray, start: np.ndarray, stop: np.ndarray
+) -> np.ndarray:
+    """Per-node ``ufunc`` reduction of ``values`` over ``[start, stop)`` slices.
+
+    ``values`` is in position space (row ``p`` belongs to every node whose
+    slice holds ``p``); ``ufunc`` is ``np.minimum`` or ``np.maximum``, and
+    rows reduce along axis 0.  One ``reduceat`` over the interleaved slice
+    edges does all nodes: the even entries reduce the node slices, the odd
+    ones span the gaps between them and are dropped.  A one-row pad lets an
+    edge equal ``len(values)``.
+    """
+    edges = np.stack([start, stop], axis=1).ravel()
+    padded = np.concatenate([values, values[:1]])
+    return ufunc.reduceat(padded, edges, axis=0)[::2]
+
+
 def _iter_padded_chunks(budget: int, dim: int, q_n: np.ndarray, g_width: np.ndarray):
     """Yield ``(pos, end, q_pad, w_pad)`` mega-batch chunks over groups.
 
@@ -350,9 +367,12 @@ class KDTreeArrays:
     dimensions and values, child links, the ``[start, stop)`` bounds of each
     node's slice of the permutation array, the permutation of point
     indices itself, and the per-node bounding boxes the dual-tree engine
-    prunes with.  Node ``0`` is the root; children are stored in preorder
-    (a node is allocated before its left subtree, which precedes its right
-    subtree).  Leaves have ``left == right == -1`` and ``split_dim == -1``.
+    prunes with.  Node ``0`` is the root; nodes are numbered in preorder (a
+    node's left child is ``node + 1`` and its right child follows the whole
+    left subtree), so every subtree is one contiguous id range --
+    :meth:`validate` checks it.  Leaves have ``left == right == -1`` and
+    ``split_dim == -1``.  A node's points are its ``[start, stop)`` slice of
+    ``indices``; the order of points inside a leaf carries no meaning.
 
     Because the representation is plain arrays it can be placed in (or viewed
     from) a :mod:`multiprocessing.shared_memory` segment and reattached in a
@@ -435,10 +455,16 @@ class KDTreeArrays:
             raise ValueError("indices is not a permutation of arange(n)")
         if int(self.start[0]) != 0 or int(self.stop[0]) != n:
             raise ValueError("root node does not cover [0, n)")
+        # Depth-first, left subtree first: in the preorder layout the n-th
+        # node visited carries id n.
         visited = 0
         stack = [0]
         while stack:
             node = stack.pop()
+            if node != visited:
+                raise ValueError(
+                    f"node {node} breaks the preorder layout (expected node {visited})"
+                )
             visited += 1
             lo, hi = int(self.start[node]), int(self.stop[node])
             if not 0 <= lo < hi <= n:
@@ -479,97 +505,143 @@ class KDTreeArrays:
                 raise ValueError(f"node {node} has an empty child")
             if float(left_coords.max()) > value or float(right_coords.min()) < value:
                 raise ValueError(f"node {node} violates the split-value invariant")
-            stack.append(left)
             stack.append(right)
+            stack.append(left)
         if visited != self.node_count:
             raise ValueError(
                 f"reachable nodes ({visited}) != node_count ({self.node_count})"
             )
 
 
-def _build_tree_arrays(points: np.ndarray, leaf_size: int) -> KDTreeArrays:
-    """Bulk-load the flattened kd-tree over ``points``.
+def _presorted_orders(points: np.ndarray) -> np.ndarray:
+    """Per-dimension orders by (coordinate, point index), shape ``(d, n)``.
 
-    Nodes are allocated in preorder into preallocated arrays (a tree over
-    ``n`` points has at most ``2n - 1`` nodes since every split produces two
-    non-empty sides), then trimmed to the actual node count.
+    ``orders[k]`` equals ``np.argsort(points[:, k], kind="stable")``, built
+    as an unstable sort re-sorted by (run of equal values, index) when ties
+    exist -- several times faster than the stable sort.
+    """
+    n, dim = points.shape
+    orders = np.empty((dim, n), dtype=np.intp)
+    for k in range(dim):
+        order = np.argsort(points[:, k])
+        ordered = points[order, k]
+        tied = ordered[1:] == ordered[:-1]
+        if tied.any():
+            run = np.concatenate([[0], np.cumsum(~tied)])
+            order = order[np.argsort(run * n + order)]
+        orders[k] = order
+    return orders
+
+
+def _segment_boxes(
+    points: np.ndarray, orders: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate-wise minima and maxima of the segments ``[lo, hi)``.
+
+    Each segment of ``orders[k]`` is sorted by coordinate ``k``, so its
+    extrema sit at the segment ends: O(1) lookups per node and dimension.
+    """
+    ks = np.arange(points.shape[1])
+    return points[orders[:, lo].T, ks], points[orders[:, hi - 1].T, ks]
+
+
+def _split_segments(
+    points: np.ndarray,
+    orders: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    dims: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One level step: split every segment ``[lo, hi)`` at its median.
+
+    Segment ``i`` sends the first ``mid = (hi - lo) // 2`` points of
+    ``orders[dims[i]]`` -- its ``mid`` smallest by (coordinate, point
+    index) -- to the left child ``[lo, lo + mid)`` and the rest to the right
+    child ``[lo + mid, hi)``.  Every order is stable-partitioned in place
+    (two order-preserving compressions per order), so each child segment
+    stays sorted in every dimension.  Returns the split positions
+    ``lo + mid`` and the split values: each segment's rank-``mid``
+    coordinate along its dimension.
+    """
+    sizes = hi - lo
+    mids = sizes // 2
+    cut = lo + mids
+    goes_left = np.zeros(orders.shape[1], dtype=bool)
+    for k in np.unique(dims):
+        on_k = dims == k
+        goes_left[orders[k, _concat_ranges(lo[on_k], mids[on_k])]] = True
+    for k in range(orders.shape[0]):
+        # A segment's order along its own split dimension is already
+        # partitioned; only the other orders move.
+        other = dims != k
+        o_lo, o_sizes, o_mids = lo[other], sizes[other], mids[other]
+        moved = orders[k, _concat_ranges(o_lo, o_sizes)]
+        left = goes_left[moved]
+        # Each segment holds exactly ``mid`` left points, so the two
+        # order-preserving compressions line up with the child segments.
+        orders[k, _concat_ranges(o_lo, o_mids)] = moved[left]
+        orders[k, _concat_ranges(o_lo + o_mids, o_sizes - o_mids)] = moved[~left]
+    return cut, points[orders[dims, cut], dims]
+
+
+def _build_tree_arrays(points: np.ndarray, leaf_size: int) -> KDTreeArrays:
+    """Bulk-load the flattened kd-tree over ``points``, level by level.
+
+    Every dimension is sorted once (:func:`_presorted_orders`); then each
+    level splits all of its nodes with one vectorised
+    :func:`_split_segments` step.  A node reads its box at the segment ends
+    of the presorted orders, splits on the widest-spread dimension (first
+    on ties) at the rank ``count // 2`` coordinate, and is a leaf when it
+    holds at most ``leaf_size`` points or has zero spread.  Median ties go
+    by ascending point index: the left child holds the ``count // 2``
+    smallest points by (coordinate, index).  Nodes are allocated level by
+    level and renumbered to preorder at the end (by ascending ``start``,
+    then descending ``stop``), the layout :class:`KDTreeArrays` promises.
     """
     n = points.shape[0]
-    capacity = max(1, 2 * n)
-    split_dim = np.full(capacity, -1, dtype=np.intp)
-    split_val = np.zeros(capacity, dtype=points.dtype)
-    left = np.full(capacity, _NO_CHILD, dtype=np.intp)
-    right = np.full(capacity, _NO_CHILD, dtype=np.intp)
-    start = np.zeros(capacity, dtype=np.intp)
-    stop = np.zeros(capacity, dtype=np.intp)
-    indices = np.arange(n, dtype=np.intp)
+    orders = _presorted_orders(points)
+    levels: list[tuple[np.ndarray, ...]] = []
+    lo = np.zeros(1, dtype=np.intp)
+    hi = np.full(1, n, dtype=np.intp)
+    first_id = 0
+    while lo.size:
+        box_min, box_max = _segment_boxes(points, orders, lo, hi)
+        spreads = box_max - box_min
+        dims = np.argmax(spreads, axis=1)
+        split = (hi - lo > leaf_size) & (spreads.max(axis=1) > 0)
+        s_lo, s_hi = lo[split], hi[split]
+        cut, values = _split_segments(points, orders, s_lo, s_hi, dims[split])
+        split_dim = np.where(split, dims, -1)
+        split_val = np.zeros(lo.size, dtype=points.dtype)
+        split_val[split] = values
+        left = np.full(lo.size, _NO_CHILD, dtype=np.intp)
+        left[split] = first_id + lo.size + 2 * np.arange(s_lo.size)
+        right = np.where(split, left + 1, _NO_CHILD)
+        levels.append((split_dim, split_val, left, right, lo, hi, box_min, box_max))
+        first_id += lo.size
+        lo = np.stack([s_lo, cut], axis=1).ravel()
+        hi = np.stack([cut, s_hi], axis=1).ravel()
 
-    n_nodes = 0
-
-    def build(lo: int, hi: int) -> int:
-        nonlocal n_nodes
-        node = n_nodes
-        n_nodes += 1
-        count = hi - lo
-        if count <= leaf_size:
-            start[node] = lo
-            stop[node] = hi
-            return node
-
-        subset = indices[lo:hi]
-        coords = points[subset]
-        spreads = coords.max(axis=0) - coords.min(axis=0)
-        dim = int(np.argmax(spreads))
-        if spreads[dim] == 0.0:
-            # All points identical along every axis: keep them in one leaf to
-            # avoid infinite recursion on duplicate-heavy data.
-            start[node] = lo
-            stop[node] = hi
-            return node
-
-        mid = count // 2
-        order = np.argpartition(coords[:, dim], mid)
-        indices[lo:hi] = subset[order]
-        split_value = float(points[indices[lo + mid], dim])
-
-        split_dim[node] = dim
-        split_val[node] = split_value
-        start[node] = lo
-        stop[node] = hi
-        left[node] = build(lo, lo + mid)
-        right[node] = build(lo + mid, hi)
-        return node
-
-    build(0, n)
-
-    # Bounding boxes, bottom-up: leaves take the coordinate-wise extrema of
-    # their (now final) bucket slice; internal nodes merge their children.
-    # Preorder allocation guarantees children have larger ids than their
-    # parent, so one reverse sweep suffices.
-    dim = points.shape[1]
-    bbox_min = np.empty((n_nodes, dim), dtype=points.dtype)
-    bbox_max = np.empty((n_nodes, dim), dtype=points.dtype)
-    for node in range(n_nodes - 1, -1, -1):
-        child_left = left[node]
-        if child_left == _NO_CHILD:
-            coords = points[indices[start[node] : stop[node]]]
-            bbox_min[node] = coords.min(axis=0)
-            bbox_max[node] = coords.max(axis=0)
-        else:
-            child_right = right[node]
-            np.minimum(bbox_min[child_left], bbox_min[child_right], out=bbox_min[node])
-            np.maximum(bbox_max[child_left], bbox_max[child_right], out=bbox_max[node])
-
+    split_dim, split_val, left, right, start, stop, bbox_min, bbox_max = (
+        np.concatenate(column) for column in zip(*levels)
+    )
+    preorder = np.lexsort((-stop, start))
+    new_id = np.empty_like(preorder)
+    new_id[preorder] = np.arange(preorder.size)
+    left, right = left[preorder], right[preorder]
+    internal = left != _NO_CHILD
+    left[internal] = new_id[left[internal]]
+    right[internal] = new_id[right[internal]]
     return KDTreeArrays(
-        split_dim=split_dim[:n_nodes].copy(),
-        split_val=split_val[:n_nodes].copy(),
-        left=left[:n_nodes].copy(),
-        right=right[:n_nodes].copy(),
-        start=start[:n_nodes].copy(),
-        stop=stop[:n_nodes].copy(),
-        indices=indices,
-        bbox_min=bbox_min,
-        bbox_max=bbox_max,
+        split_dim=split_dim[preorder],
+        split_val=split_val[preorder],
+        left=left,
+        right=right,
+        start=start[preorder],
+        stop=stop[preorder],
+        indices=orders[0].copy(),
+        bbox_min=bbox_min[preorder],
+        bbox_max=bbox_max[preorder],
     )
 
 
@@ -1618,6 +1690,9 @@ class KDTree:
         b_nodes = pair_arr[:, 1]
         kernel_a_parts: list[np.ndarray] = []
         kernel_b_parts: list[np.ndarray] = []
+        # Included pairs credit whole node slices: difference-array entries
+        # (+size at a slice's start, -size at its stop) summed by one cumsum.
+        credits = np.zeros(counts.size + 1, dtype=counts.dtype)
         while a_nodes.size:
             min_sq, max_sq = self._pair_bounds_sq(self, a_nodes, b_nodes)
             if strict:
@@ -1629,11 +1704,12 @@ class KDTree:
             diagonal = a_nodes == b_nodes
             size_a = stop[a_nodes] - start[a_nodes]
             size_b = stop[b_nodes] - start[b_nodes]
-            for i in np.flatnonzero(included):
-                a, b = a_nodes[i], b_nodes[i]
-                counts[start[a] : stop[a]] += size_b[i]
-                if not diagonal[i]:
-                    counts[start[b] : stop[b]] += size_a[i]
+            if included.any():
+                both = included & ~diagonal
+                to = np.concatenate([a_nodes[included], b_nodes[both]])
+                amount = np.concatenate([size_b[included], size_a[both]])
+                np.add.at(credits, start[to], amount)
+                np.subtract.at(credits, stop[to], amount)
             live = ~(excluded | included)
             # Terminal x terminal pairs are deferred and grouped by query
             # node once the traversal finishes, so every terminal node runs
@@ -1659,6 +1735,7 @@ class KDTree:
             b_nodes = np.concatenate(
                 [left[diag], right[diag], right[diag], left[bb], right[bb], ab, ab]
             )
+        counts += np.cumsum(credits[:-1])
         if kernel_a_parts:
             self._self_kernel_blocks(
                 np.concatenate(kernel_a_parts),
@@ -1788,11 +1865,14 @@ class KDTree:
         radius_sq = radius * radius
         qt = queries_tree
         counts = np.zeros(qt._n, dtype=np.intp)
+        # Included pairs credit whole query slices through a difference
+        # array, summed by one cumsum after the traversal.
+        credits = np.zeros(qt._n + 1, dtype=np.intp)
 
-        def on_included(a: int, b: int) -> None:
-            counts[qt._start_arr[a] : qt._stop_arr[a]] += (
-                self._stop_arr[b] - self._start_arr[b]
-            )
+        def on_included(a: np.ndarray, b: np.ndarray) -> None:
+            amount = self._stop_arr[b] - self._start_arr[b]
+            np.add.at(credits, qt._start_arr[a], amount)
+            np.subtract.at(credits, qt._stop_arr[a], amount)
 
         def on_kernel_groups(ka: np.ndarray, kb: np.ndarray) -> None:
             self._count_vs_kernel_groups(qt, ka, kb, radius_sq, strict, counts)
@@ -1804,6 +1884,7 @@ class KDTree:
             on_included,
             on_kernel_groups,
         )
+        counts += np.cumsum(credits[:-1])
         return qt._scatter_counts(counts)
 
     def _count_vs_kernel_groups(
@@ -1900,10 +1981,11 @@ class KDTree:
         ``is_excluded(a_nodes, min_sq)`` / ``is_included(a_nodes, max_sq)``
         receive the level's query node ids and vectorised node-pair bounds
         (the ids matter for per-query radii); ``on_included(a, b)`` handles
-        one credited pair.  All terminal kernel pairs are deferred to the end
-        of the traversal and handed over in a single
-        ``on_kernel_groups(ka, kb)`` call, sorted by query node ``ka``, so
-        implementations can mega-batch every kernel into padded blocks.
+        each level's credited pairs as two node-id arrays.  All terminal
+        kernel pairs are deferred to the end of the traversal and handed
+        over in a single ``on_kernel_groups(ka, kb)`` call, sorted by query
+        node ``ka``, so implementations can mega-batch every kernel into
+        padded blocks.
         """
         if qt._n == 0 or self._n == 0:
             return
@@ -1921,8 +2003,8 @@ class KDTree:
             min_sq, max_sq = qt._pair_bounds_sq(self, a_nodes, b_nodes)
             excluded = is_excluded(a_nodes, min_sq)
             included = is_included(a_nodes, max_sq)
-            for i in np.flatnonzero(included):
-                on_included(a_nodes[i], b_nodes[i])
+            if included.any():
+                on_included(a_nodes[included], b_nodes[included])
             live = ~(excluded | included)
             kernel = live & q_terminal[a_nodes] & d_terminal[b_nodes]
             if kernel.any():
@@ -1966,33 +2048,24 @@ class KDTree:
         # query side (an included pair must fit the *smallest* radius in the
         # query node, an excluded pair must miss the *largest*).
         r_sq_pos = radius_sq[qt._indices]
-        node_count = qt.node_count
-        rmin = np.empty(node_count, dtype=np.float64)
-        rmax = np.empty(node_count, dtype=np.float64)
-        q_start, q_stop, q_left, q_right = (
-            qt._start_arr, qt._stop_arr, qt._left_arr, qt._right_arr,
-        )
-        for node in range(node_count - 1, -1, -1):
-            child = q_left[node]
-            if child == _NO_CHILD:
-                block = r_sq_pos[q_start[node] : q_stop[node]]
-                rmin[node] = block.min()
-                rmax[node] = block.max()
-            else:
-                other = q_right[node]
-                rmin[node] = min(rmin[child], rmin[other])
-                rmax[node] = max(rmax[child], rmax[other])
+        rmin = qt._reduce_per_node(np.minimum, r_sq_pos)
+        rmax = qt._reduce_per_node(np.maximum, r_sq_pos)
+        q_start, q_stop = qt._start_arr, qt._stop_arr
 
         d_start, d_stop = self._start_arr, self._stop_arr
         d_indices = self._indices
         hit_q: list[np.ndarray] = []
         hit_p: list[np.ndarray] = []
 
-        def on_included(a: int, b: int) -> None:
-            sa, ea = q_start[a], q_stop[a]
-            sb, eb = d_start[b], d_stop[b]
-            hit_q.append(np.repeat(np.arange(sa, ea, dtype=np.intp), eb - sb))
-            hit_p.append(np.tile(d_indices[sb:eb], ea - sa))
+        def on_included(a: np.ndarray, b: np.ndarray) -> None:
+            # Pair i pairs each of its |A_i| queries with all |B_i| data
+            # points: one run of B_i's slice per query.
+            heights = q_stop[a] - q_start[a]
+            widths = np.repeat(d_stop[b] - d_start[b], heights)
+            hit_q.append(np.repeat(_concat_ranges(q_start[a], heights), widths))
+            hit_p.append(
+                d_indices[_concat_ranges(np.repeat(d_start[b], heights), widths)]
+            )
 
         def on_kernel_groups(ka: np.ndarray, kb: np.ndarray) -> None:
             # Hit *sets* are ragged (per-query radii), so groups are answered
@@ -2095,43 +2168,15 @@ class KDTree:
             return self._bbox_min_arr, self._bbox_max_arr
         if self._bbox64_cache is None:
             ordered = self._pruning_ordered
-            n_nodes = self.node_count
-            bbox_min = np.empty((n_nodes, self._dim), dtype=np.float64)
-            bbox_max = np.empty((n_nodes, self._dim), dtype=np.float64)
-            left, right = self._left_arr, self._right_arr
-            start, stop = self._start_arr, self._stop_arr
-            for node in range(n_nodes - 1, -1, -1):
-                child = left[node]
-                if child == _NO_CHILD:
-                    block = ordered[start[node] : stop[node]]
-                    bbox_min[node] = block.min(axis=0)
-                    bbox_max[node] = block.max(axis=0)
-                else:
-                    other = right[node]
-                    np.minimum(bbox_min[child], bbox_min[other], out=bbox_min[node])
-                    np.maximum(bbox_max[child], bbox_max[other], out=bbox_max[node])
-            self._bbox64_cache = (bbox_min, bbox_max)
+            self._bbox64_cache = (
+                self._reduce_per_node(np.minimum, ordered),
+                self._reduce_per_node(np.maximum, ordered),
+            )
         return self._bbox64_cache
 
-    def _node_reduce_positions(self, values_pos: np.ndarray, minimum: bool) -> np.ndarray:
-        """Per-node min/max of a position-space value array (reverse sweep)."""
-        n_nodes = self.node_count
-        out = np.empty(n_nodes, dtype=np.float64)
-        left, right = self._left_arr, self._right_arr
-        start, stop = self._start_arr, self._stop_arr
-        for node in range(n_nodes - 1, -1, -1):
-            child = left[node]
-            if child == _NO_CHILD:
-                block = values_pos[start[node] : stop[node]]
-                out[node] = block.min() if minimum else block.max()
-            else:
-                other = right[node]
-                out[node] = (
-                    min(out[child], out[other])
-                    if minimum
-                    else max(out[child], out[other])
-                )
-        return out
+    def _reduce_per_node(self, ufunc: np.ufunc, values_pos: np.ndarray) -> np.ndarray:
+        """Per-node min or max of a position-space array (see :func:`_node_reduce`)."""
+        return _node_reduce(ufunc, values_pos, self._start_arr, self._stop_arr)
 
     def attach_density_bounds(self, rho, *, node_max: np.ndarray | None = None) -> np.ndarray:
         """Attach per-node maxima of a per-point density array (caller order).
@@ -2147,7 +2192,7 @@ class KDTree:
             raise ValueError("rho must hold one density per indexed point")
         rho_pos = np.ascontiguousarray(rho[self._indices])
         if node_max is None:
-            node_max = self._node_reduce_positions(rho_pos, minimum=False)
+            node_max = self._reduce_per_node(np.maximum, rho_pos)
         else:
             node_max = np.ascontiguousarray(node_max, dtype=np.float64).reshape(-1)
             if node_max.shape[0] != self.node_count:
@@ -2164,7 +2209,7 @@ class KDTree:
         if cached is not None and cached[0] is rho:
             return cached[1], cached[2]
         rho_pos = np.ascontiguousarray(rho[self._indices])
-        node_max = self._node_reduce_positions(rho_pos, minimum=False)
+        node_max = self._reduce_per_node(np.maximum, rho_pos)
         self._density_cache = (rho, rho_pos, node_max)
         return rho_pos, node_max
 
@@ -2173,14 +2218,13 @@ class KDTree:
 
         The chunked join calls :meth:`nn_dual_vs` once per frontier slice
         with the same ``rho_q`` object; caching by identity avoids redoing
-        the position gather and the pure-Python per-node reverse sweep per
-        chunk.
+        the position gather and the per-node reduction per chunk.
         """
         cached = self._q_density_cache
         if cached is not None and cached[0] is rho_q:
             return cached[1], cached[2]
         rho_q_pos = np.ascontiguousarray(rho_q[self._indices])
-        node_min = self._node_reduce_positions(rho_q_pos, minimum=True)
+        node_min = self._reduce_per_node(np.minimum, rho_q_pos)
         self._q_density_cache = (rho_q, rho_q_pos, node_min)
         return rho_q_pos, node_min
 

@@ -1,12 +1,14 @@
 """Shard plans: kd-style top-level partitions with exact halo geometry.
 
 A :class:`ShardPlan` partitions a point set into ``n_shards`` (a power of
-two) disjoint shards by recursively applying the kd-tree's own split rule
-(:func:`repro.index.kdtree._build_tree_arrays`: widest-spread dimension,
-median by ``argpartition``) for ``log2(n_shards)`` levels.  The resulting
-planes are exactly the top levels a single kd-tree over the full set would
-build, so the sharded fit decomposes along the same geometry the in-memory
-index uses.
+two) disjoint shards by running the kd-tree build's own level step
+(:func:`repro.index.kdtree._split_segments`: widest-spread dimension, plane
+at the rank ``size // 2`` coordinate, exact ties at the plane by ascending
+point index) for ``log2(n_shards)`` levels.  The resulting planes are the
+top levels a single kd-tree over the full set would build, so the sharded
+fit decomposes along the same geometry the in-memory index uses.  The
+streaming planner applies the same tie rule, so both planners return the
+same plan.
 
 Exact halo geometry
 -------------------
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.index.kdtree import _presorted_orders, _segment_boxes, _split_segments
 from repro.utils.validation import check_points, check_positive_int
 
 __all__ = [
@@ -94,11 +97,14 @@ class ShardPlan:
 def plan_shards(points, n_shards: int) -> ShardPlan:
     """Partition ``points`` into ``n_shards`` shards along kd split planes.
 
-    Reuses the kd-tree build rule level by level: split on the
-    widest-spread dimension at the ``argpartition`` median, left side takes
-    coordinates ``<= split_value`` and the right side ``>= split_value``.
-    Deterministic in ``(points, n_shards)``; ``n_shards=1`` yields the
-    trivial single-shard plan.
+    Runs the kd-tree build's level step for ``log2(n_shards)`` levels and
+    splits every segment (no leaf or zero-spread stop): widest-spread
+    dimension, plane at the rank ``size // 2`` coordinate, and the left
+    side takes the ``size // 2`` smallest points by (coordinate, point
+    index) -- exact ties at a plane go by ascending index, the rule
+    :func:`plan_shards_streaming` applies too, so both planners return the
+    same plan.  Deterministic in ``(points, n_shards)``; ``n_shards=1``
+    yields the trivial single-shard plan.
     """
     points = check_points(points, min_points=1, name="points")
     n = points.shape[0]
@@ -107,33 +113,26 @@ def plan_shards(points, n_shards: int) -> ShardPlan:
 
     axes = np.full(max(n_shards - 1, 1), -1, dtype=np.intp)[: n_shards - 1]
     values = np.zeros(n_shards - 1, dtype=np.float64)
-    members: list[np.ndarray | None] = [None] * n_shards
-
-    def build(node: int, level: int, subset: np.ndarray, leaf_base: int) -> None:
-        if level == 0:
-            # Ascending order: the shard-local index order (the kd-tree
-            # tie-break order) coincides with the global one.
-            members[leaf_base] = np.sort(subset)
-            return
-        coords = points[subset]
-        spreads = coords.max(axis=0) - coords.min(axis=0)
-        dim = int(np.argmax(spreads))
-        mid = subset.size // 2
-        order = np.argpartition(coords[:, dim], mid)
-        subset = subset[order]
-        value = float(points[subset[mid], dim])
-        axes[node] = dim
-        values[node] = value
-        build(2 * node + 1, level - 1, subset[:mid], leaf_base)
-        build(2 * node + 2, level - 1, subset[mid:], leaf_base + (1 << (level - 1)))
-
-    build(0, depth, np.arange(n, dtype=np.intp), 0)
+    orders = _presorted_orders(points)
+    lo = np.zeros(1, dtype=np.intp)
+    hi = np.full(1, n, dtype=np.intp)
+    for level in range(depth):
+        box_min, box_max = _segment_boxes(points, orders, lo, hi)
+        dims = np.argmax(box_max - box_min, axis=1)
+        cut, level_values = _split_segments(points, orders, lo, hi, dims)
+        heap = (1 << level) - 1 + np.arange(lo.size)
+        axes[heap] = dims
+        values[heap] = level_values
+        lo = np.stack([lo, cut], axis=1).ravel()
+        hi = np.stack([cut, hi], axis=1).ravel()
     return ShardPlan(
         n_shards=n_shards,
         depth=depth,
         axes=axes,
         values=values,
-        members=tuple(members),  # type: ignore[arg-type]
+        # Ascending order: the shard-local index order (the kd-tree
+        # tie-break order) coincides with the global one.
+        members=tuple(np.sort(orders[0, a:b]) for a, b in zip(lo, hi)),
     )
 
 
@@ -166,10 +165,10 @@ def plan_shards_streaming(
     2. **refine** -- the sample brackets the median inside a quantile window
        ``[lo, hi]``; one pass counts values below ``lo`` and collects the
        in-window values, from which the *exact* rank-``mid`` order statistic
-       (the same statistic ``argpartition`` yields in :func:`plan_shards`)
-       is selected.  If the window misses (adversarial duplicates), the pass
-       falls back to collecting the node's full column -- still one column,
-       never the matrix;
+       (the split value :func:`plan_shards` takes) is selected.  If the
+       window misses (adversarial duplicates), the pass falls back to
+       collecting the node's full column -- still one column, never the
+       matrix;
     3. **assign** -- routes rows to the two children.  Values strictly below
        the plane go left, strictly above go right, and exact ties are split
        by ascending global index until the left child holds exactly
@@ -177,11 +176,11 @@ def plan_shards_streaming(
 
     The resulting plan is *plane-consistent* -- every member of a left
     (right) shard lies on the ``<=`` (``>=``) side of each separating plane
-    -- and balanced exactly like :func:`plan_shards`; tie placement *at* a
-    plane may differ from the in-memory planner (``argpartition`` order is
-    unspecified), which is irrelevant to the fit: the halo-exchange and
-    cross-shard merge contracts make the clustering bit-identical to the
-    single-tree fit for any plane-consistent balanced partition.
+    -- and, since ties go by ascending index in both planners, equal to
+    :func:`plan_shards`' plan: the same axes, values and members.  (The fit
+    would not need that: the halo-exchange and cross-shard merge contracts
+    make the clustering bit-identical to the single-tree fit for any
+    plane-consistent balanced partition.)
 
     Peak private memory is ``O(chunk_rows * d + n)`` (the per-row node
     assignment plus window buffers), independent of ``n * d``.

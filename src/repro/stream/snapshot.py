@@ -46,7 +46,7 @@ from repro.core.approx_dpc import ApproxDPC
 from repro.core.ex_dpc import ExDPC
 from repro.core.result import DPCResult, canonical_rho_raw
 from repro.core.s_approx_dpc import SApproxDPC
-from repro.index.kdtree import KDTree, KDTreeArrays
+from repro.index.kdtree import KDTree, KDTreeArrays, _node_reduce
 from repro.utils.counters import WorkCounter
 
 __all__ = [
@@ -291,7 +291,7 @@ def load_model(path, *, mmap: bool = False):
     if meta.get("has_tree") and (_TREE_PREFIX + "split_dim") in data:
         if (_TREE_PREFIX + "bbox_min") not in data:
             # Version 1 snapshots predate the per-node bounding boxes; the
-            # rebuild replays the builder's bottom-up sweep exactly.
+            # rebuild reduces the stored node slices exactly.
             data = dict(data)
             data.update(_rebuild_bbox(points, data))
         tree_arrays = KDTreeArrays.from_mapping(data, prefix=_TREE_PREFIX)
@@ -325,35 +325,17 @@ def load_model(path, *, mmap: bool = False):
 def _rebuild_bbox(points: np.ndarray, data) -> dict[str, np.ndarray]:
     """Per-node bounding boxes for a version-1 snapshot's tree arrays.
 
-    Replays the builder's reverse preorder sweep (children carry larger node
-    ids than their parent): leaves take the coordinate-wise extrema of their
-    bucket slice, internal nodes merge their children.  Version-1 trees
-    always stored float64 points, so the rebuilt boxes are bit-identical to
-    what the builder of the day would have produced.
+    Every node's box is the coordinate-wise extrema of its ``[start, stop)``
+    slice of the stored permutation, computed for all nodes by one per-node
+    reduction.  Version-1 trees always stored float64 points, so the
+    rebuilt boxes are bit-identical to what the builder of the day would
+    have produced.
     """
-    left = np.asarray(data[_TREE_PREFIX + "left"])
-    right = np.asarray(data[_TREE_PREFIX + "right"])
     start = np.asarray(data[_TREE_PREFIX + "start"])
     stop = np.asarray(data[_TREE_PREFIX + "stop"])
-    indices = np.asarray(data[_TREE_PREFIX + "indices"])
-    n_nodes = left.shape[0]
-    dim = points.shape[1]
-    bbox_min = np.empty((n_nodes, dim), dtype=points.dtype)
-    bbox_max = np.empty((n_nodes, dim), dtype=points.dtype)
-    for node in range(n_nodes - 1, -1, -1):
-        child_left = left[node]
-        if child_left < 0:
-            coords = points[indices[start[node] : stop[node]]]
-            bbox_min[node] = coords.min(axis=0)
-            bbox_max[node] = coords.max(axis=0)
-        else:
-            child_right = right[node]
-            np.minimum(
-                bbox_min[child_left], bbox_min[child_right], out=bbox_min[node]
-            )
-            np.maximum(
-                bbox_max[child_left], bbox_max[child_right], out=bbox_max[node]
-            )
+    ordered = points[np.asarray(data[_TREE_PREFIX + "indices"])]
+    bbox_min = _node_reduce(np.minimum, ordered, start, stop)
+    bbox_max = _node_reduce(np.maximum, ordered, start, stop)
     return {
         _TREE_PREFIX + "bbox_min": bbox_min,
         _TREE_PREFIX + "bbox_max": bbox_max,

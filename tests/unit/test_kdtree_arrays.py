@@ -3,11 +3,57 @@
 import numpy as np
 import pytest
 
-from repro.index.kdtree import KDTree, KDTreeArrays
+from repro.index.kdtree import KDTree, KDTreeArrays, _node_reduce
+from tests.conftest import (
+    assert_left_children_take_smallest,
+    assert_matches_reference_build,
+)
+
+DTYPES = ["float64", "float32"]
 
 
 def _random_points(n, d, seed=0):
     return np.random.default_rng(seed).uniform(-100.0, 100.0, size=(n, d))
+
+
+def _distinct_points(n, d, seed=0):
+    """Coordinates distinct along every axis (exact in float32 too)."""
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.permutation(n) * 1.25 - 300.0 for _ in range(d)], axis=1)
+
+
+def _lattice_points(n, d, levels, seed=0):
+    """Duplicate-heavy integer lattice: every median is tied."""
+    return np.random.default_rng(seed).integers(0, levels, size=(n, d)).astype(float)
+
+
+def _swap_root_subtrees(arrays: KDTreeArrays) -> KDTreeArrays:
+    """Renumber the root's right subtree before its left one.
+
+    The links still describe the same tree, so every geometric invariant
+    holds; only the preorder numbering is broken.
+    """
+    n_nodes, right = arrays.node_count, int(arrays.right[0])
+    order = np.r_[0, np.arange(right, n_nodes), np.arange(1, right)]
+    new_id = np.empty(n_nodes, dtype=np.intp)
+    new_id[order] = np.arange(n_nodes)
+
+    def relink(links):
+        links = links[order].copy()
+        links[links >= 0] = new_id[links[links >= 0]]
+        return links
+
+    return KDTreeArrays(
+        split_dim=arrays.split_dim[order],
+        split_val=arrays.split_val[order],
+        left=relink(arrays.left),
+        right=relink(arrays.right),
+        start=arrays.start[order],
+        stop=arrays.stop[order],
+        indices=arrays.indices,
+        bbox_min=arrays.bbox_min[order],
+        bbox_max=arrays.bbox_max[order],
+    )
 
 
 class TestConstructionInvariants:
@@ -76,6 +122,53 @@ class TestConstructionInvariants:
         broken.indices[0] = broken.indices[1]  # no longer a permutation
         with pytest.raises(ValueError):
             broken.validate(tree.points, 4)
+        swapped = _swap_root_subtrees(arrays)
+        assert int(swapped.left[0]) != 1
+        with pytest.raises(ValueError, match="preorder"):
+            swapped.validate(tree.points, 4)
+
+
+class TestLevelBuild:
+    """The level-synchronous build against the recursive reference builder."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize(
+        "n,d,leaf_size",
+        [(1, 1, 1), (2, 2, 1), (37, 1, 4), (300, 2, 8), (1000, 3, 32), (513, 5, 16)],
+    )
+    def test_matches_reference_on_distinct_coordinates(self, n, d, leaf_size, dtype):
+        tree = KDTree(_distinct_points(n, d, seed=n + d), leaf_size=leaf_size, dtype=dtype)
+        tree.arrays.validate(tree.points, leaf_size)
+        assert_matches_reference_build(tree.arrays, tree.points, leaf_size)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("levels,d", [(1, 2), (2, 2), (3, 3), (5, 2), (7, 4)])
+    def test_lattice_ties_go_by_point_index(self, levels, d, dtype):
+        tree = KDTree(_lattice_points(400, d, levels, seed=levels), leaf_size=4, dtype=dtype)
+        tree.arrays.validate(tree.points, 4)
+        assert_left_children_take_smallest(tree.arrays, tree.points)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_node_reduction_matches_slice_extrema(self, dtype):
+        points = np.vstack([_random_points(300, 3, seed=4), _lattice_points(200, 3, 3)])
+        tree = KDTree(points, leaf_size=8, dtype=dtype)
+        start, stop = tree.arrays.start, tree.arrays.stop
+        values_1d = np.random.default_rng(5).integers(0, 9, tree.size).astype(dtype)
+        for values in (tree.points_ordered, values_1d):
+            for ufunc, brute in ((np.minimum, np.min), (np.maximum, np.max)):
+                got = _node_reduce(ufunc, values, start, stop)
+                want = np.stack([brute(values[a:b], axis=0) for a, b in zip(start, stop)])
+                assert got.dtype == values.dtype
+                np.testing.assert_array_equal(got, want)
+        # Float64 pruning boxes enclose the float64 source coordinates.
+        source = tree.source_points[tree.arrays.indices]
+        box_min, box_max = tree._pruning_bbox
+        np.testing.assert_array_equal(
+            box_min, [source[a:b].min(axis=0) for a, b in zip(start, stop)]
+        )
+        np.testing.assert_array_equal(
+            box_max, [source[a:b].max(axis=0) for a, b in zip(start, stop)]
+        )
 
 
 class TestFromArrays:
